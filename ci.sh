@@ -16,6 +16,9 @@ gate() {
 gate build cargo build --release
 gate test cargo test -q
 gate test-workspace cargo test --workspace -q
+# hostbench is a package of its own, so `--workspace` never builds it; its
+# tests pin the public entry points the benchmark drives.
+gate hostbench-test cargo test --offline --manifest-path hostbench/Cargo.toml
 gate lint cargo run --release -p efex-bench --bin lint -- --baseline BENCH_baseline.json
 gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism

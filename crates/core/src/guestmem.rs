@@ -14,7 +14,6 @@
 //! so multi-tenant workers ship a `GuestConfig` across the thread boundary
 //! and build the tenant — sink, handlers and all — inside the worker.
 
-use efex_mips::machine::MachineConfig;
 use efex_simos::Prot;
 
 use crate::delivery::DeliveryPath;
@@ -173,10 +172,6 @@ pub struct GuestConfig {
     pub access_cost: u64,
     /// Degradation policy for deliveries that cannot take the path.
     pub degrade_policy: DegradePolicy,
-    /// Machine configuration (execution engine, decode cache). `None`
-    /// inherits the building thread's scoped default — see
-    /// [`efex_mips::machine::with_machine_config`].
-    pub machine: Option<MachineConfig>,
 }
 
 impl Default for GuestConfig {
@@ -194,33 +189,24 @@ impl GuestConfig {
             eager_amplification: false,
             access_cost: 2,
             degrade_policy: DegradePolicy::default(),
-            machine: None,
         }
     }
 
     /// A [`HostBuilder`] primed with this config.
     pub fn host_builder(&self) -> HostBuilder {
-        let mut b = HostProcess::builder()
+        HostProcess::builder()
             .delivery(self.path)
             .phys_bytes(self.phys_bytes)
             .eager_amplification(self.eager_amplification)
             .access_cost(self.access_cost)
-            .degrade_policy(self.degrade_policy);
-        if let Some(m) = self.machine {
-            b = b.machine_config(m);
-        }
-        b
+            .degrade_policy(self.degrade_policy)
     }
 
     /// A [`SystemBuilder`] primed with this config.
     pub fn system_builder(&self) -> SystemBuilder {
-        let mut b = System::builder()
+        System::builder()
             .delivery(self.path)
-            .phys_bytes(self.phys_bytes);
-        if let Some(m) = self.machine {
-            b = b.machine_config(m);
-        }
-        b
+            .phys_bytes(self.phys_bytes)
     }
 }
 

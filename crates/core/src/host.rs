@@ -15,7 +15,6 @@
 use std::fmt;
 
 use efex_mips::exception::ExcCode;
-use efex_mips::machine::MachineConfig;
 use efex_simos::kernel::{HostFault, Kernel, KernelConfig};
 use efex_simos::layout::PAGE_SIZE;
 use efex_simos::vm::FaultKind;
@@ -195,7 +194,6 @@ pub struct HostBuilder {
     access_cost: u64,
     trace: Option<SharedSink>,
     degrade_policy: DegradePolicy,
-    machine: Option<MachineConfig>,
 }
 
 impl fmt::Debug for HostBuilder {
@@ -207,7 +205,6 @@ impl fmt::Debug for HostBuilder {
             .field("access_cost", &self.access_cost)
             .field("trace", &self.trace.is_some())
             .field("degrade_policy", &self.degrade_policy)
-            .field("machine", &self.machine)
             .finish()
     }
 }
@@ -221,7 +218,6 @@ impl Default for HostBuilder {
             access_cost: 2,
             trace: None,
             degrade_policy: DegradePolicy::default(),
-            machine: None,
         }
     }
 }
@@ -269,14 +265,6 @@ impl HostBuilder {
         self
     }
 
-    /// Selects the machine configuration (execution engine, decode cache).
-    /// Unset, the booting thread's scoped default applies — see
-    /// [`efex_mips::machine::with_machine_config`].
-    pub fn machine_config(mut self, cfg: MachineConfig) -> HostBuilder {
-        self.machine = Some(cfg);
-        self
-    }
-
     /// Boots the kernel and creates the process.
     ///
     /// # Errors
@@ -285,7 +273,6 @@ impl HostBuilder {
     pub fn build(self) -> Result<HostProcess, CoreError> {
         let mut kernel = Kernel::boot(KernelConfig {
             phys_bytes: self.phys_bytes,
-            machine: self.machine,
             ..KernelConfig::default()
         })?;
         kernel.set_trace_path(self.path.into());

@@ -97,7 +97,7 @@ pub struct SystemBuilder {
     path: DeliveryPath,
     phys_bytes: usize,
     trace: Option<SharedSink>,
-    machine: Option<MachineConfig>,
+    machine: MachineConfig,
 }
 
 impl std::fmt::Debug for SystemBuilder {
@@ -117,7 +117,7 @@ impl Default for SystemBuilder {
             path: DeliveryPath::FastUser,
             phys_bytes: efex_simos::layout::DEFAULT_PHYS_BYTES,
             trace: None,
-            machine: None,
+            machine: MachineConfig::inherited(),
         }
     }
 }
@@ -136,10 +136,11 @@ impl SystemBuilder {
     }
 
     /// Selects the machine configuration (execution engine, decode cache).
-    /// Unset, the booting thread's scoped default applies — see
+    /// The default is [`MachineConfig::inherited`], the scoped default of
+    /// the thread that called [`System::builder`] — see
     /// [`efex_mips::machine::with_machine_config`].
     pub fn machine_config(mut self, cfg: MachineConfig) -> SystemBuilder {
-        self.machine = Some(cfg);
+        self.machine = cfg;
         self
     }
 

@@ -449,7 +449,7 @@ pub fn fleet_invariants() -> Vec<Invariant> {
         .warmup(th("probe_decode_cache_misses"), 4)
         .hint(
             "the delivery probe's decode cache stopped being effective; check \
-             Machine::dcache_slot (efex-mips) for systematic slot aliasing",
+             dcache_slot_hash (efex-mips machine.rs) for systematic slot aliasing",
         ),
         // Installs should be cold fills, not evictions of live pages. The
         // probe is a fixed small workload over a handful of code pages and
@@ -567,7 +567,7 @@ pub fn run_tenant(spec: TenantSpec, trace: bool, health: bool) -> Result<TenantR
     }
     let mut events = Vec::new();
     if trace || health {
-        let probe = delivery_probe(spec.suite, spec.machine).map_err(|e| err(&e))?;
+        let probe = delivery_probe(spec.suite).map_err(|e| err(&e))?;
         if trace {
             events = probe.events;
         }
@@ -662,11 +662,6 @@ impl TenantCheckpoint {
             efex_mips::machine::ExecEngine::Superblock => 1,
         });
         w.bool(self.spec.machine.decode_cache);
-        w.u8(match self.spec.machine.mod64_slots {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
         w.u32(self.legs_total);
         w.u32(self.legs_done);
         w.f64(self.micros);
@@ -696,12 +691,6 @@ impl TenantCheckpoint {
             t => return Err(efex_snap::SnapError::Corrupt(format!("engine tag {t}"))),
         };
         let decode_cache = r.bool()?;
-        let mod64_slots = match r.u8()? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            t => return Err(efex_snap::SnapError::Corrupt(format!("mod64 tag {t}"))),
-        };
         let legs_total = r.u32()?;
         let legs_done = r.u32()?;
         if legs_total == 0 || legs_done > legs_total {
@@ -717,17 +706,15 @@ impl TenantCheckpoint {
         };
         let health = decode_counters(&mut r, "tenant-health")?;
         r.done()?;
-        let machine = MachineConfig {
-            engine,
-            decode_cache,
-            mod64_slots,
-        };
         Ok(TenantCheckpoint {
             spec: TenantSpec {
                 id,
                 suite,
                 seed,
-                machine,
+                machine: MachineConfig {
+                    engine,
+                    decode_cache,
+                },
             },
             legs_total,
             legs_done,
@@ -814,7 +801,7 @@ pub fn resume_tenant(
     }
     let mut events = Vec::new();
     if trace || health {
-        let probe = delivery_probe(ckpt.spec.suite, ckpt.spec.machine).map_err(|e| err(&e))?;
+        let probe = delivery_probe(ckpt.spec.suite).map_err(|e| err(&e))?;
         if trace {
             events = probe.events;
         }
@@ -1106,21 +1093,16 @@ struct DeliveryProbe {
 /// simulation: the ring buffers the lifecycle events, and the guest's
 /// kernel/machine counters (decode cache, repairs, ring occupancy) become
 /// the tenant's `probe_*` health metrics.
-fn delivery_probe(
-    suite: Suite,
-    tenant: MachineConfig,
-) -> Result<DeliveryProbe, efex_core::CoreError> {
+fn delivery_probe(suite: Suite) -> Result<DeliveryProbe, efex_core::CoreError> {
     let ring = Rc::new(RingSink::with_capacity(64));
     // The probe's decode-cache health invariants (hit rate, eviction churn)
     // characterize the reference engine's per-instruction cache, so the
     // probe guest pins the interpreter with the cache on, whatever engine
-    // the tenant runs — only the test-only slot-hash pathology carries over
-    // (the canary arms it per-tenant and expects the probe to feel it).
-    let probe_cfg = MachineConfig::default().mod64_slots(tenant.mod64_slots.unwrap_or(false));
+    // the tenant runs.
     let mut sys = System::builder()
         .delivery(DeliveryPath::FastUser)
         .trace_sink(ring.clone())
-        .machine_config(probe_cfg)
+        .machine_config(MachineConfig::default())
         .build()?;
     sys.measure_null_roundtrip(suite.sample_kind())?;
     let mut health = StatsSnapshot::new("tenant-health");
@@ -1495,7 +1477,9 @@ mod tests {
             id: 3,
             suite: Suite::Watch,
             seed: 0xfeed,
-            machine: MachineConfig::default().mod64_slots(false),
+            machine: MachineConfig::default()
+                .engine(efex_mips::machine::ExecEngine::Superblock)
+                .decode_cache(false),
         };
         let mut ckpt = TenantCheckpoint::initial(spec, 2);
         advance_tenant(&mut ckpt, 1).unwrap();
@@ -1503,7 +1487,7 @@ mod tests {
         assert_eq!(back.spec.id, spec.id);
         assert_eq!(back.spec.suite, spec.suite);
         assert_eq!(back.spec.seed, spec.seed);
-        assert_eq!(back.spec.machine.mod64_slots, Some(false));
+        assert_eq!(back.spec.machine, spec.machine);
         assert_eq!((back.legs_total, back.legs_done), (2, 1));
         assert_eq!(back.micros.to_bits(), ckpt.micros.to_bits());
         assert_eq!(

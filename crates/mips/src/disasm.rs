@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use crate::decode::decode;
 use crate::isa::Instruction;
 use crate::machine::Machine;
+use crate::sem;
 
 /// Renders one instruction located at `addr`, resolving control-transfer
 /// targets through `symbols` when possible.
@@ -20,11 +21,8 @@ pub fn disassemble_at(
     symbols: Option<&BTreeMap<String, u32>>,
 ) -> String {
     use Instruction::*;
-    let rel = |imm: i16| {
-        addr.wrapping_add(4)
-            .wrapping_add((i32::from(imm) << 2) as u32)
-    };
-    let abs = |target: u32| (addr.wrapping_add(4) & 0xf000_0000) | (target << 2);
+    let rel = |imm: i16| sem::branch_target(addr, imm);
+    let abs = |target: u32| sem::jump_target(addr, target);
     let name = |t: u32| -> String {
         if let Some(syms) = symbols {
             if let Some((n, _)) = syms.iter().find(|(_, a)| **a == t) {

@@ -28,6 +28,7 @@ use crate::exception::{ExcCode, Exception};
 use crate::isa::{Instruction, Reg, TlbProtOp};
 use crate::mem::Memory;
 use crate::profile::Profiler;
+use crate::sem;
 use crate::tlb::{Tlb, TlbFault};
 
 /// General exception vector (all exceptions except user-space TLB refills).
@@ -237,13 +238,7 @@ impl fmt::Debug for DecodePage {
 /// apart, and a plain `vpn % DCACHE_SLOTS` maps every user page onto its
 /// kernel counterpart — each exception delivery then evicts the other's
 /// lines and the cache never hits.
-fn dcache_slot_hash(vpn: u32, mod64: bool) -> usize {
-    if mod64 {
-        // Test-only pathological hash (see `MachineConfig::mod64_slots`):
-        // the plain modulo mapping whose systematic user/KSEG0 aliasing the
-        // XOR fold above exists to prevent.
-        return (vpn as usize) & (DCACHE_SLOTS - 1);
-    }
+fn dcache_slot_hash(vpn: u32) -> usize {
     ((vpn ^ (vpn >> 6) ^ (vpn >> 12)) as usize) & (DCACHE_SLOTS - 1)
 }
 
@@ -294,21 +289,17 @@ impl fmt::Display for ExecEngine {
 
 /// Per-machine execution configuration, fixed at construction.
 ///
-/// This replaces the old process-global decode-cache switches (which fleet
-/// worker threads raced): every knob is a plain field, owned by the machine
-/// that was built from it. Code that cannot pass a config down to the
-/// machines it constructs internally (the kernel, app workloads) inherits
-/// the calling thread's scoped default — see [`with_machine_config`].
+/// Both values are host-side only: neither changes architectural state,
+/// cycle accounting or fault behaviour. A machine is configured once, by
+/// [`Machine::with_config`]; code that builds machines internally (kernel
+/// boot, app workloads) uses [`MachineConfig::inherited`], the calling
+/// thread's scoped default set by [`with_machine_config`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MachineConfig {
     /// Execution engine for [`Machine::run`].
     pub engine: ExecEngine,
-    /// Whether the per-instruction decode cache starts enabled.
+    /// Whether the per-instruction decode cache is enabled.
     pub decode_cache: bool,
-    /// Test-only: force the pathological mod-64 decode-cache slot hash on
-    /// (`Some(true)`) or off (`Some(false)`). `None` follows the deprecated
-    /// process-wide hook for back-compat with older canary harnesses.
-    pub mod64_slots: Option<bool>,
 }
 
 impl Default for MachineConfig {
@@ -316,7 +307,6 @@ impl Default for MachineConfig {
         MachineConfig {
             engine: ExecEngine::Interpreter,
             decode_cache: true,
-            mod64_slots: None,
         }
     }
 }
@@ -336,87 +326,33 @@ impl MachineConfig {
         self
     }
 
-    /// Returns the config with the mod-64 slot-hash override replaced.
-    #[must_use]
-    pub fn mod64_slots(mut self, on: bool) -> MachineConfig {
-        self.mod64_slots = Some(on);
-        self
-    }
-
-    /// The config [`Machine::new`] uses: the calling thread's scoped
-    /// override when one is active (see [`with_machine_config`]), else the
-    /// defaults (seeded from the deprecated process-wide shims so existing
-    /// A/B binaries keep working).
+    /// The calling thread's scoped default (see [`with_machine_config`]),
+    /// else [`MachineConfig::default`].
     pub fn inherited() -> MachineConfig {
-        CONFIG_OVERRIDE.with(|c| c.get()).unwrap_or_else(|| {
-            #[allow(deprecated)]
-            MachineConfig::default().decode_cache(decode_cache_default())
-        })
+        AMBIENT.with(std::cell::Cell::get)
     }
 }
 
 thread_local! {
-    static CONFIG_OVERRIDE: std::cell::Cell<Option<MachineConfig>> =
-        const { std::cell::Cell::new(None) };
+    static AMBIENT: std::cell::Cell<MachineConfig> =
+        std::cell::Cell::new(MachineConfig::default());
 }
 
 /// Runs `f` with `cfg` as the calling thread's machine-construction default:
-/// every [`Machine::new`] on this thread inside `f` (however deeply nested —
-/// kernel boot, app workloads) builds from `cfg`. Scopes nest and restore on
-/// unwind, and the override is thread-local, so concurrent fleet tenants can
-/// each select their own engine without racing — the fix for the old
-/// process-global switches.
+/// every [`MachineConfig::inherited`] on this thread inside `f` (however
+/// deeply nested — kernel boot, app workloads) returns `cfg`. Scopes nest
+/// and restore on unwind, and the default is thread-local, so concurrent
+/// fleet tenants can each select their own engine without racing.
 pub fn with_machine_config<R>(cfg: MachineConfig, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<MachineConfig>);
+    struct Restore(MachineConfig);
     impl Drop for Restore {
         fn drop(&mut self) {
-            CONFIG_OVERRIDE.with(|c| c.set(self.0));
+            AMBIENT.with(|c| c.set(self.0));
         }
     }
-    let prev = CONFIG_OVERRIDE.with(|c| c.replace(Some(cfg)));
+    let prev = AMBIENT.with(|c| c.replace(cfg));
     let _restore = Restore(prev);
     f()
-}
-
-/// Deprecated process-wide mod-64 slot-hash hook. Superseded by
-/// [`MachineConfig::mod64_slots`]; kept so older canary harnesses keep
-/// working. Only consulted at machine *construction* (when the config
-/// leaves `mod64_slots` unset), so mid-run toggles no longer race workers.
-static DECODE_CACHE_MOD64_SLOTS: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Arms (or disarms) the pathological mod-64 slot hash for machines built
-/// afterwards without an explicit [`MachineConfig::mod64_slots`].
-#[doc(hidden)]
-#[deprecated(note = "use MachineConfig::mod64_slots (per-machine, race-free)")]
-pub fn set_decode_cache_mod64_slots(on: bool) {
-    DECODE_CACHE_MOD64_SLOTS.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether the deprecated process-wide mod-64 hook is armed.
-#[doc(hidden)]
-#[deprecated(note = "use MachineConfig::mod64_slots (per-machine, race-free)")]
-pub fn decode_cache_mod64_slots() -> bool {
-    DECODE_CACHE_MOD64_SLOTS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Deprecated process-wide decode-cache default. Superseded by
-/// [`MachineConfig::decode_cache`] plus [`with_machine_config`]; kept as a
-/// thin shim for existing A/B binaries. Read once per [`Machine::new`] when
-/// no scoped config is active.
-static DECODE_CACHE_DEFAULT: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Sets the decode-cache default newly-created machines inherit.
-#[deprecated(note = "use with_machine_config (per-thread, race-free)")]
-pub fn set_decode_cache_default(on: bool) {
-    DECODE_CACHE_DEFAULT.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The decode-cache default newly-created machines inherit.
-#[deprecated(note = "use with_machine_config (per-thread, race-free)")]
-pub fn decode_cache_default() -> bool {
-    DECODE_CACHE_DEFAULT.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Longest straight-line run one superblock may hold. Runs end at the first
@@ -528,9 +464,6 @@ pub struct Machine {
     trace: Option<crate::trace::Trace>,
     dcache: [Option<Box<DecodePage>>; DCACHE_SLOTS],
     dcache_enabled: bool,
-    /// Pathological mod-64 decode-cache slot hash (test-only), resolved
-    /// once at construction so the hot path never reads process globals.
-    dcache_mod64: bool,
     dcache_hits: u64,
     dcache_misses: u64,
     dcache_evictions: u64,
@@ -545,7 +478,7 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with `phys_bytes` of physical memory, in kernel
     /// mode at PC 0, configured from [`MachineConfig::inherited`] (the
-    /// calling thread's scoped config, else the process defaults).
+    /// calling thread's scoped config, else the defaults).
     pub fn new(phys_bytes: usize) -> Machine {
         Machine::with_config(phys_bytes, MachineConfig::inherited())
     }
@@ -562,8 +495,6 @@ impl Machine {
     /// assert_eq!(m.cycles(), 0);
     /// ```
     pub fn with_config(phys_bytes: usize, cfg: MachineConfig) -> Machine {
-        #[allow(deprecated)]
-        let mod64 = cfg.mod64_slots.unwrap_or_else(decode_cache_mod64_slots);
         Machine {
             cpu: Cpu::new(),
             cp0: Cp0::new(),
@@ -577,7 +508,6 @@ impl Machine {
             trace: None,
             dcache: std::array::from_fn(|_| None),
             dcache_enabled: cfg.decode_cache,
-            dcache_mod64: mod64,
             dcache_hits: 0,
             dcache_misses: 0,
             dcache_evictions: 0,
@@ -680,17 +610,6 @@ impl Machine {
         self.profiler.as_mut()
     }
 
-    /// Enables or disables the decoded-instruction cache. Disabling drops
-    /// all cached pages; the architecturally-visible behaviour is identical
-    /// either way (the reference runs in the invalidation tests rely on
-    /// that).
-    pub fn set_decode_cache_enabled(&mut self, on: bool) {
-        if !on {
-            self.dcache = std::array::from_fn(|_| None);
-        }
-        self.dcache_enabled = on;
-    }
-
     /// Whether the decoded-instruction cache is active (default: yes).
     pub fn decode_cache_enabled(&self) -> bool {
         self.dcache_enabled
@@ -714,18 +633,6 @@ impl Machine {
     /// The execution engine driving [`Machine::run`].
     pub fn engine(&self) -> ExecEngine {
         self.engine
-    }
-
-    /// Switches the execution engine. Cached superblocks are dropped on any
-    /// switch; architecturally-visible behaviour is identical either way.
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        if engine != self.engine {
-            self.sbcache = match engine {
-                ExecEngine::Superblock => (0..SBLOCK_SLOTS).map(|_| None).collect(),
-                ExecEngine::Interpreter => Vec::new(),
-            };
-            self.engine = engine;
-        }
     }
 
     /// Superblock-cache (hits, misses, invalidations) over the machine's
@@ -1148,7 +1055,7 @@ impl Machine {
             self.cpu.next_pc = self.cpu.next_pc.wrapping_add(4);
             self.prev_was_branch = op.is_ct;
             let mut cost = op.base_cost;
-            let outcome = self.execute(op.inst, pc, in_delay, user, &mut cost);
+            let outcome = self.execute(op.inst, pc, user, &mut cost);
             self.cycles += cost;
             *remaining -= 1;
             match outcome {
@@ -1198,7 +1105,7 @@ impl Machine {
         // every tag still matches (see `DecodePage`).
         let mut cached = None;
         if self.dcache_enabled {
-            let slot = dcache_slot_hash(pc >> 12, self.dcache_mod64);
+            let slot = dcache_slot_hash(pc >> 12);
             let asid = self.asid();
             let tlb_gen = self.tlb.generation();
             if let Some(page) = self.dcache[slot].as_deref() {
@@ -1262,7 +1169,7 @@ impl Machine {
             cost += cycles::MEM_ACCESS;
         }
 
-        let outcome = self.execute(inst, pc, in_delay, user, &mut cost);
+        let outcome = self.execute(inst, pc, user, &mut cost);
 
         self.cycles += cost;
         match outcome {
@@ -1295,7 +1202,7 @@ impl Machine {
     /// function of the word.
     fn dcache_install(&mut self, pc: u32, user: bool, paddr: u32, word: u32, inst: Instruction) {
         let vpn = pc >> 12;
-        let slot = dcache_slot_hash(vpn, self.dcache_mod64);
+        let slot = dcache_slot_hash(vpn);
         let mapped = !(0x8000_0000..0xc000_0000).contains(&pc);
         let asid = self.asid();
         let tlb_gen = self.tlb.generation();
@@ -1335,23 +1242,55 @@ impl Machine {
         page.lines[((pc >> 2) & 0x3ff) as usize] = Some((word, inst));
     }
 
-    fn execute(
-        &mut self,
-        inst: Instruction,
-        pc: u32,
-        in_delay: bool,
-        user: bool,
-        cost: &mut u64,
-    ) -> Exec {
+    fn execute(&mut self, inst: Instruction, pc: u32, user: bool, cost: &mut u64) -> Exec {
         use Instruction::*;
         let c = &mut self.cpu;
         match inst {
-            Sll { rd, rt, shamt } => c.set_reg(rd, c.reg(rt) << shamt),
-            Srl { rd, rt, shamt } => c.set_reg(rd, c.reg(rt) >> shamt),
-            Sra { rd, rt, shamt } => c.set_reg(rd, ((c.reg(rt) as i32) >> shamt) as u32),
-            Sllv { rd, rt, rs } => c.set_reg(rd, c.reg(rt) << (c.reg(rs) & 31)),
-            Srlv { rd, rt, rs } => c.set_reg(rd, c.reg(rt) >> (c.reg(rs) & 31)),
-            Srav { rd, rt, rs } => c.set_reg(rd, ((c.reg(rt) as i32) >> (c.reg(rs) & 31)) as u32),
+            // ALU results, overflow traps and branch conditions all come
+            // from `sem`, the semantics the verifier folds with. One arm per
+            // variant, so the inlined `sem` match folds to the single case
+            // where a shared arm would dispatch on `inst` twice.
+            Sll { rd, rt, .. } => return alu(c, inst, rd, 0, c.reg(rt)),
+            Srl { rd, rt, .. } => return alu(c, inst, rd, 0, c.reg(rt)),
+            Sra { rd, rt, .. } => return alu(c, inst, rd, 0, c.reg(rt)),
+            Sllv { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Srlv { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Srav { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Add { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Addu { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Sub { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Subu { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            And { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Or { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Xor { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Nor { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Slt { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Sltu { rd, rs, rt } => return alu(c, inst, rd, c.reg(rs), c.reg(rt)),
+            Addi { rt, rs, .. } => return alu(c, inst, rt, c.reg(rs), 0),
+            Addiu { rt, rs, .. } => return alu(c, inst, rt, c.reg(rs), 0),
+            Slti { rt, rs, .. } => return alu(c, inst, rt, c.reg(rs), 0),
+            Sltiu { rt, rs, .. } => return alu(c, inst, rt, c.reg(rs), 0),
+            Andi { rt, rs, .. } => return alu(c, inst, rt, c.reg(rs), 0),
+            Ori { rt, rs, .. } => return alu(c, inst, rt, c.reg(rs), 0),
+            Xori { rt, rs, .. } => return alu(c, inst, rt, c.reg(rs), 0),
+            Lui { rt, .. } => return alu(c, inst, rt, 0, 0),
+            Beq { rs, rt, imm } => branch(c, inst, pc, imm, c.reg(rs), c.reg(rt)),
+            Bne { rs, rt, imm } => branch(c, inst, pc, imm, c.reg(rs), c.reg(rt)),
+            Blez { rs, imm } => branch(c, inst, pc, imm, c.reg(rs), 0),
+            Bgtz { rs, imm } => branch(c, inst, pc, imm, c.reg(rs), 0),
+            Bltz { rs, imm } => branch(c, inst, pc, imm, c.reg(rs), 0),
+            Bgez { rs, imm } => branch(c, inst, pc, imm, c.reg(rs), 0),
+            // The link write follows the condition's read of `rs`.
+            Bltzal { rs, imm } => {
+                let v = c.reg(rs);
+                c.set_reg(Reg::RA, pc.wrapping_add(8));
+                branch(c, inst, pc, imm, v, 0);
+            }
+            Bgezal { rs, imm } => {
+                let v = c.reg(rs);
+                c.set_reg(Reg::RA, pc.wrapping_add(8));
+                branch(c, inst, pc, imm, v, 0);
+            }
             Jr { rs } => c.next_pc = c.reg(rs),
             Jalr { rd, rs } => {
                 let target = c.reg(rs);
@@ -1397,77 +1336,6 @@ impl Machine {
                     c.hi = a % b;
                 }
             }
-            Add { rd, rs, rt } => match (c.reg(rs) as i32).checked_add(c.reg(rt) as i32) {
-                Some(v) => c.set_reg(rd, v as u32),
-                None => return Exec::Fault(ExcCode::Overflow, None),
-            },
-            Addu { rd, rs, rt } => c.set_reg(rd, c.reg(rs).wrapping_add(c.reg(rt))),
-            Sub { rd, rs, rt } => match (c.reg(rs) as i32).checked_sub(c.reg(rt) as i32) {
-                Some(v) => c.set_reg(rd, v as u32),
-                None => return Exec::Fault(ExcCode::Overflow, None),
-            },
-            Subu { rd, rs, rt } => c.set_reg(rd, c.reg(rs).wrapping_sub(c.reg(rt))),
-            And { rd, rs, rt } => c.set_reg(rd, c.reg(rs) & c.reg(rt)),
-            Or { rd, rs, rt } => c.set_reg(rd, c.reg(rs) | c.reg(rt)),
-            Xor { rd, rs, rt } => c.set_reg(rd, c.reg(rs) ^ c.reg(rt)),
-            Nor { rd, rs, rt } => c.set_reg(rd, !(c.reg(rs) | c.reg(rt))),
-            Slt { rd, rs, rt } => c.set_reg(rd, ((c.reg(rs) as i32) < (c.reg(rt) as i32)) as u32),
-            Sltu { rd, rs, rt } => c.set_reg(rd, (c.reg(rs) < c.reg(rt)) as u32),
-            Beq { rs, rt, imm } => {
-                if c.reg(rs) == c.reg(rt) {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bne { rs, rt, imm } => {
-                if c.reg(rs) != c.reg(rt) {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Blez { rs, imm } => {
-                if (c.reg(rs) as i32) <= 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bgtz { rs, imm } => {
-                if (c.reg(rs) as i32) > 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bltz { rs, imm } => {
-                if (c.reg(rs) as i32) < 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bgez { rs, imm } => {
-                if (c.reg(rs) as i32) >= 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bltzal { rs, imm } => {
-                let taken = (c.reg(rs) as i32) < 0;
-                c.set_reg(Reg::RA, pc.wrapping_add(8));
-                if taken {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bgezal { rs, imm } => {
-                let taken = (c.reg(rs) as i32) >= 0;
-                c.set_reg(Reg::RA, pc.wrapping_add(8));
-                if taken {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Addi { rt, rs, imm } => match (c.reg(rs) as i32).checked_add(i32::from(imm)) {
-                Some(v) => c.set_reg(rt, v as u32),
-                None => return Exec::Fault(ExcCode::Overflow, None),
-            },
-            Addiu { rt, rs, imm } => c.set_reg(rt, c.reg(rs).wrapping_add(imm as i32 as u32)),
-            Slti { rt, rs, imm } => c.set_reg(rt, ((c.reg(rs) as i32) < i32::from(imm)) as u32),
-            Sltiu { rt, rs, imm } => c.set_reg(rt, (c.reg(rs) < (imm as i32 as u32)) as u32),
-            Andi { rt, rs, imm } => c.set_reg(rt, c.reg(rs) & u32::from(imm)),
-            Ori { rt, rs, imm } => c.set_reg(rt, c.reg(rs) | u32::from(imm)),
-            Xori { rt, rs, imm } => c.set_reg(rt, c.reg(rs) ^ u32::from(imm)),
-            Lui { rt, imm } => c.set_reg(rt, u32::from(imm) << 16),
             Lb { rt, base, imm } => return self.load(rt, base, imm, 1, true, user),
             Lh { rt, base, imm } => return self.load(rt, base, imm, 2, true, user),
             Lw { rt, base, imm } => return self.load(rt, base, imm, 4, false, user),
@@ -1476,10 +1344,10 @@ impl Machine {
             Sb { rt, base, imm } => return self.store(rt, base, imm, 1, user),
             Sh { rt, base, imm } => return self.store(rt, base, imm, 2, user),
             Sw { rt, base, imm } => return self.store(rt, base, imm, 4, user),
-            J { target } => c.next_pc = (pc.wrapping_add(4) & 0xf000_0000) | (target << 2),
+            J { target } => c.next_pc = sem::jump_target(pc, target),
             Jal { target } => {
                 c.set_reg(Reg::RA, pc.wrapping_add(8));
-                c.next_pc = (pc.wrapping_add(4) & 0xf000_0000) | (target << 2);
+                c.next_pc = sem::jump_target(pc, target);
             }
             Mfc0 { rt, rd } => {
                 if user && !user_cp0_reg(rd) {
@@ -1565,9 +1433,6 @@ impl Machine {
                 }
                 return Exec::HostCall(code);
             }
-        }
-        if in_delay {
-            // Delay-slot instruction executed normally; nothing special.
         }
         Exec::Ok
     }
@@ -1830,9 +1695,26 @@ enum Exec {
     Fault(ExcCode, Option<u32>),
 }
 
-fn branch_target(pc: u32, imm: i16) -> u32 {
-    pc.wrapping_add(4)
-        .wrapping_add((i32::from(imm) << 2) as u32)
+/// Writes an ALU instruction's [`sem::alu_result`] to `dest`; `None` from
+/// an ALU instruction means a trapping add/sub overflowed. Always inlined
+/// so each `execute` arm folds `sem`'s match to its one case.
+#[inline(always)]
+fn alu(c: &mut Cpu, inst: Instruction, dest: Reg, rs: u32, rt: u32) -> Exec {
+    match sem::alu_result(inst, rs, rt) {
+        Some(v) => {
+            c.set_reg(dest, v);
+            Exec::Ok
+        }
+        None => Exec::Fault(ExcCode::Overflow, None),
+    }
+}
+
+/// Redirects `next_pc` to the branch target when [`sem::branch_taken`].
+#[inline(always)]
+fn branch(c: &mut Cpu, inst: Instruction, pc: u32, imm: i16, rs: u32, rt: u32) {
+    if sem::branch_taken(inst, rs, rt) == Some(true) {
+        c.next_pc = sem::branch_target(pc, imm);
+    }
 }
 
 fn tlb_fault_code(f: TlbFault, access: Access) -> ExcCode {
@@ -2421,5 +2303,17 @@ mod tests {
         assert_eq!(m.mem().read_u32(0x2008).unwrap(), 0xfeed_f00d);
         let err = m.peek_u32(0x0050_0000, true).unwrap_err();
         assert_eq!(err.code, ExcCode::TlbLoad);
+    }
+
+    #[test]
+    fn slot_hash_separates_user_text_from_its_kseg0_counterpart() {
+        // User text at 0x0040_k000 and kernel text at 0x8000_k000 are
+        // congruent mod 64 pages, so a plain `vpn % 64` slot maps each onto
+        // the other and every delivery evicts the interrupted page.
+        for k in 0..64u32 {
+            let (user, kseg0) = (0x400 + k, 0x8_0000 + k);
+            assert_eq!(user % 64, kseg0 % 64);
+            assert_ne!(dcache_slot_hash(user), dcache_slot_hash(kseg0), "k = {k}");
+        }
     }
 }

@@ -1,22 +1,59 @@
-//! Pure instruction semantics, factored out of the interpreter for reuse by
-//! static analyzers.
+//! Pure instruction semantics: the one home of the R3000 arithmetic that
+//! decides what an instruction computes and where control goes next.
 //!
-//! The symbolic delivery-path explorer in `efex-verify` folds an instruction
-//! to a concrete result whenever all of its operands are known. Rather than
-//! re-implementing (and inevitably skewing from) the interpreter's
-//! arithmetic, the foldable fragment lives here as pure functions over `u32`
-//! operand values:
+//! Every consumer calls these functions instead of re-deriving the rules:
+//! the interpreter's `Machine::execute` (which the superblock engine
+//! shares), the kernel's delay-slot branch re-evaluation in `efex-simos`
+//! (subpage and unaligned-access emulation), the disassembler, and the
+//! `efex-verify` control-flow, call-graph and symbolic passes. The executed
+//! and the proved semantics therefore cannot drift apart.
 //!
+//! - [`alu_fields`] — which registers an ALU instruction reads and writes.
 //! - [`alu_result`] — the result an ALU instruction writes, or `None` when
 //!   the instruction is not a foldable ALU operation (loads, stores,
-//!   control transfers, CP0 moves, `mult`/`div` pairs).
+//!   control transfers, CP0 moves, `mult`/`div` pairs) or traps.
 //! - [`branch_taken`] — whether a conditional branch is taken.
 //! - [`alu_overflows`] — whether a trapping add/sub raises `Overflow`.
+//! - [`branch_target`] / [`jump_target`] — where a PC-relative branch or a
+//!   `j`/`jal` transfers to.
 //!
 //! The functions are *total* over their domain: they never panic, matching
 //! the hardware they model.
 
-use crate::isa::Instruction;
+use crate::isa::{Instruction, Reg};
+
+/// The `(destination, rs, rt)` register fields of an instruction that
+/// [`alu_result`] folds, with `$zero` standing in for an operand the
+/// instruction does not read (its value is then ignored). `None` for every
+/// other instruction.
+pub fn alu_fields(inst: Instruction) -> Option<(Reg, Reg, Reg)> {
+    use Instruction::*;
+    Some(match inst {
+        Sll { rd, rt, .. } | Srl { rd, rt, .. } | Sra { rd, rt, .. } => (rd, Reg::ZERO, rt),
+        Sllv { rd, rs, rt }
+        | Srlv { rd, rs, rt }
+        | Srav { rd, rs, rt }
+        | Add { rd, rs, rt }
+        | Addu { rd, rs, rt }
+        | Sub { rd, rs, rt }
+        | Subu { rd, rs, rt }
+        | And { rd, rs, rt }
+        | Or { rd, rs, rt }
+        | Xor { rd, rs, rt }
+        | Nor { rd, rs, rt }
+        | Slt { rd, rs, rt }
+        | Sltu { rd, rs, rt } => (rd, rs, rt),
+        Addi { rt, rs, .. }
+        | Addiu { rt, rs, .. }
+        | Slti { rt, rs, .. }
+        | Sltiu { rt, rs, .. }
+        | Andi { rt, rs, .. }
+        | Ori { rt, rs, .. }
+        | Xori { rt, rs, .. } => (rt, rs, Reg::ZERO),
+        Lui { rt, .. } => (rt, Reg::ZERO, Reg::ZERO),
+        _ => return None,
+    })
+}
 
 /// The concrete result written by a foldable ALU instruction, given the
 /// values of its source registers.
@@ -35,6 +72,9 @@ use crate::isa::Instruction;
 /// let i = Instruction::Addiu { rt: Reg::T0, rs: Reg::T1, imm: -4 };
 /// assert_eq!(alu_result(i, 100, 0), Some(96));
 /// ```
+// Always inlined: each of the interpreter's per-variant call sites then
+// folds this match to the one case it needs.
+#[inline(always)]
 pub fn alu_result(inst: Instruction, rs: u32, rt: u32) -> Option<u32> {
     use Instruction::*;
     Some(match inst {
@@ -71,12 +111,7 @@ pub fn alu_result(inst: Instruction, rs: u32, rt: u32) -> Option<u32> {
 /// values. Always `false` for non-trapping instructions.
 pub fn alu_overflows(inst: Instruction, rs: u32, rt: u32) -> bool {
     use Instruction::*;
-    match inst {
-        Add { .. } => (rs as i32).checked_add(rt as i32).is_none(),
-        Sub { .. } => (rs as i32).checked_sub(rt as i32).is_none(),
-        Addi { imm, .. } => (rs as i32).checked_add(imm as i32).is_none(),
-        _ => false,
-    }
+    matches!(inst, Add { .. } | Sub { .. } | Addi { .. }) && alu_result(inst, rs, rt).is_none()
 }
 
 /// Whether a conditional branch is taken, given its source register values.
@@ -84,6 +119,7 @@ pub fn alu_overflows(inst: Instruction, rs: u32, rt: u32) -> bool {
 /// Returns `None` for instructions that are not conditional branches
 /// (unconditional jumps transfer control regardless; everything else falls
 /// through).
+#[inline(always)]
 pub fn branch_taken(inst: Instruction, rs: u32, rt: u32) -> Option<bool> {
     use Instruction::*;
     Some(match inst {
@@ -97,10 +133,24 @@ pub fn branch_taken(inst: Instruction, rs: u32, rt: u32) -> Option<bool> {
     })
 }
 
+/// The target of a PC-relative branch at `pc`: the delay slot's address
+/// plus the sign-extended word offset.
+#[inline]
+pub fn branch_target(pc: u32, imm: i16) -> u32 {
+    pc.wrapping_add(4)
+        .wrapping_add((i32::from(imm) << 2) as u32)
+}
+
+/// The target of a `j`/`jal` at `pc`: the 26-bit word index within the
+/// 256 MB region of the delay slot.
+#[inline]
+pub fn jump_target(pc: u32, target: u32) -> u32 {
+    (pc.wrapping_add(4) & 0xf000_0000) | (target << 2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::Reg;
 
     fn r3(_: ()) -> (Reg, Reg, Reg) {
         (Reg::T0, Reg::T1, Reg::T2)
@@ -191,6 +241,35 @@ mod tests {
             Some(true)
         );
         assert_eq!(branch_taken(Instruction::J { target: 0 }, 0, 0), None);
+    }
+
+    #[test]
+    fn alu_fields_cover_exactly_the_folded_instructions() {
+        // Every primary opcode and SPECIAL function; 0 + 0 never overflows,
+        // so `alu_result` is `Some` precisely for the foldable ALU ops.
+        for op in 0..64u32 {
+            for funct in 0..64u32 {
+                let Ok(i) = crate::decode::decode((op << 26) | (1 << 21) | (2 << 16) | funct)
+                else {
+                    continue;
+                };
+                assert_eq!(
+                    alu_fields(i).is_some(),
+                    alu_result(i, 0, 0).is_some(),
+                    "{i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_targets() {
+        assert_eq!(branch_target(0x0040_0010, 3), 0x0040_0020);
+        assert_eq!(branch_target(0x0040_0010, -1), 0x0040_0010);
+        assert_eq!(branch_target(0xffff_fffc, 0), 0);
+        // The region comes from the delay slot, not the jump itself.
+        assert_eq!(jump_target(0x8000_0100, 0x40), 0x8000_0100);
+        assert_eq!(jump_target(0x0fff_fffc, 0x40), 0x1000_0100);
     }
 
     #[test]

@@ -10,15 +10,14 @@ use efex_mips::cp0::status;
 use efex_mips::encode::encode;
 use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg, TlbProtOp};
-use efex_mips::machine::{kseg_to_phys, Machine, StopReason};
+use efex_mips::machine::{kseg_to_phys, Machine, MachineConfig, StopReason};
 use efex_mips::tlb::TlbEntry;
 use proptest::prelude::*;
 
 /// A cached machine and its uncached reference, built identically.
 fn pair() -> (Machine, Machine) {
     let cached = Machine::new(1 << 20);
-    let mut reference = Machine::new(1 << 20);
-    reference.set_decode_cache_enabled(false);
+    let reference = Machine::with_config(1 << 20, MachineConfig::default().decode_cache(false));
     assert!(cached.decode_cache_enabled());
     assert!(!reference.decode_cache_enabled());
     (cached, reference)
@@ -266,8 +265,8 @@ proptest! {
         steps in 1usize..400,
     ) {
         let mut cached = Machine::new(1 << 20);
-        let mut reference = Machine::new(1 << 20);
-        reference.set_decode_cache_enabled(false);
+        let mut reference =
+            Machine::with_config(1 << 20, MachineConfig::default().decode_cache(false));
         for m in [&mut cached, &mut reference] {
             write_words(m, 0x1000, &words);
             m.set_pc(0x8000_1000);

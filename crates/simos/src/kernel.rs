@@ -28,6 +28,7 @@ use efex_mips::decode::decode;
 use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg};
 use efex_mips::machine::{kseg_to_phys, Machine, MachineConfig, MachineError, StopReason};
+use efex_mips::sem;
 use efex_mips::tlb::TLB_ENTRIES;
 use efex_trace::{null_sink, EventKind, FaultClass, Metrics, SharedSink, TraceEvent, TracePath};
 
@@ -70,9 +71,9 @@ pub struct KernelConfig {
     /// takes precedence — applications that *want* the fault get it.
     pub fixup_unaligned: bool,
     /// Machine construction config (execution engine + decode cache).
-    /// `None` inherits the booting thread's scoped default — see
-    /// [`efex_mips::machine::with_machine_config`].
-    pub machine: Option<MachineConfig>,
+    /// The default is [`MachineConfig::inherited`], the calling thread's
+    /// scoped default — see [`efex_mips::machine::with_machine_config`].
+    pub machine: MachineConfig,
 }
 
 impl Default for KernelConfig {
@@ -82,7 +83,7 @@ impl Default for KernelConfig {
             page_in_cost: costs::PAGE_IN_DEFAULT,
             clock_mhz: cycles::CLOCK_MHZ,
             fixup_unaligned: false,
-            machine: None,
+            machine: MachineConfig::inherited(),
         }
     }
 }
@@ -293,8 +294,7 @@ impl Kernel {
     ///
     /// Fails if the embedded images do not assemble or do not fit.
     pub fn boot(cfg: KernelConfig) -> Result<Kernel, KernelError> {
-        let machine_cfg = cfg.machine.unwrap_or_else(MachineConfig::inherited);
-        let mut machine = Machine::with_config(cfg.phys_bytes, machine_cfg);
+        let mut machine = Machine::with_config(cfg.phys_bytes, cfg.machine);
         let kimage = assemble(crate::fastexc::KERNEL_ASM)?;
         machine.load_image(&kimage)?;
 
@@ -1699,14 +1699,16 @@ impl Kernel {
             .map_err(|e| KernelError::KernelFault(format!("cannot fetch branch: {e}")))?;
         let inst = decode(word)
             .map_err(|e| KernelError::KernelFault(format!("cannot decode branch: {e}")))?;
-        let cpu = self.machine.cpu();
-        let reg = |r: Reg| cpu.reg(r);
-        let rel = |imm: i16| {
-            branch_pc
-                .wrapping_add(4)
-                .wrapping_add((i32::from(imm) << 2) as u32)
+        let reg = |r: Reg| self.machine.cpu().reg(r);
+        // A conditional branch goes to its target when taken, else past
+        // its delay slot.
+        let cond = |imm: i16, rs: u32, rt: u32| {
+            if sem::branch_taken(inst, rs, rt) == Some(true) {
+                sem::branch_target(branch_pc, imm)
+            } else {
+                branch_pc.wrapping_add(8)
+            }
         };
-        let seq = branch_pc.wrapping_add(8);
         use Instruction::*;
         let target = match inst {
             Jalr { rd, rs } if rd == rs => {
@@ -1727,51 +1729,14 @@ impl Kernel {
                     epc: branch_pc,
                 });
             }
-            Beq { rs, rt, imm } => {
-                if reg(rs) == reg(rt) {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bne { rs, rt, imm } => {
-                if reg(rs) != reg(rt) {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Blez { rs, imm } => {
-                if (reg(rs) as i32) <= 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bgtz { rs, imm } => {
-                if (reg(rs) as i32) > 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bltz { rs, imm } | Bltzal { rs, imm } => {
-                if (reg(rs) as i32) < 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bgez { rs, imm } | Bgezal { rs, imm } => {
-                if (reg(rs) as i32) >= 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            J { target } | Jal { target } => {
-                (branch_pc.wrapping_add(4) & 0xf000_0000) | (target << 2)
-            }
+            Beq { rs, rt, imm } | Bne { rs, rt, imm } => cond(imm, reg(rs), reg(rt)),
+            Blez { rs, imm }
+            | Bgtz { rs, imm }
+            | Bltz { rs, imm }
+            | Bgez { rs, imm }
+            | Bltzal { rs, imm }
+            | Bgezal { rs, imm } => cond(imm, reg(rs), 0),
+            J { target } | Jal { target } => sem::jump_target(branch_pc, target),
             Jr { rs } | Jalr { rs, .. } => reg(rs),
             other => {
                 return Err(KernelError::KernelFault(format!(

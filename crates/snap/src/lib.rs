@@ -33,7 +33,11 @@ pub const MAGIC: [u8; 8] = *b"EFEXSNAP";
 
 /// Current wire-format version. Bump on any layout change; readers reject
 /// versions they do not know with [`SnapError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 dropped the fleet [`Flavor::Tenant`] payload's decode-cache
+/// slot-hash override byte, which version 1 carried after the engine and
+/// decode-cache fields.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// What a snapshot artifact contains. Stored in the header so a restore
 /// entry point can reject a structurally valid snapshot of the wrong kind
@@ -105,7 +109,8 @@ impl fmt::Display for Flavor {
 pub enum SnapError {
     /// The artifact does not start with [`MAGIC`].
     BadMagic,
-    /// The artifact's format version is newer than this reader.
+    /// The artifact's format version is not [`FORMAT_VERSION`]: written by
+    /// an older or a newer build.
     UnsupportedVersion(u32),
     /// The artifact is a valid snapshot of the wrong kind.
     FlavorMismatch {
@@ -515,17 +520,19 @@ mod tests {
             Err(SnapError::BadMagic)
         ));
 
-        // Future version (checksum fixed up so the version check is what
-        // fires).
-        let mut bad = good.clone();
-        bad[8] = 99;
-        let sum = fnv64(&bad[..bad.len() - 8]);
-        let at = bad.len() - 8;
-        bad[at..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Reader::open(&bad, Flavor::Machine),
-            Err(SnapError::UnsupportedVersion(99))
-        ));
+        // A superseded or a future version (checksum fixed up so the
+        // version check is what fires).
+        for version in [1u32, 99] {
+            let mut bad = good.clone();
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            let sum = fnv64(&bad[..bad.len() - 8]);
+            let at = bad.len() - 8;
+            bad[at..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Reader::open(&bad, Flavor::Machine).unwrap_err(),
+                SnapError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 
 use efex_mips::isa::{Instruction, Reg};
+use efex_mips::sem;
 
 use crate::cfg::Cfg;
 use crate::VerifyConfig;
@@ -253,31 +254,18 @@ pub fn effective_address(base: AbsVal, imm: i16) -> AbsVal {
 pub fn transfer(s: &RegState, inst: Instruction, config: &VerifyConfig) -> RegState {
     use Instruction::*;
     let mut out = *s;
+    // Constant operands fold through the interpreter's own semantics.
+    if let Some((rd, rs, rt)) = sem::alu_fields(inst) {
+        if let (AbsVal::Const(a), AbsVal::Const(b)) = (s.reg(rs), s.reg(rt)) {
+            if let Some(v) = sem::alu_result(inst, a, b) {
+                out.set(rd, AbsVal::Const(v));
+                return out;
+            }
+        }
+    }
     match inst {
-        Lui { rt, imm } => out.set(rt, AbsVal::Const(u32::from(imm) << 16)),
-        Ori { rt, rs, imm } => {
-            let v = match s.reg(rs) {
-                AbsVal::Const(c) => AbsVal::Const(c | u32::from(imm)),
-                v if imm == 0 => v,
-                _ => AbsVal::Unknown,
-            };
-            out.set(rt, v);
-        }
-        Andi { rt, rs, imm } => {
-            let v = match s.reg(rs) {
-                AbsVal::Const(c) => AbsVal::Const(c & u32::from(imm)),
-                _ => AbsVal::range(0, u32::from(imm), 1),
-            };
-            out.set(rt, v);
-        }
-        Xori { rt, rs, imm } => {
-            let v = match s.reg(rs) {
-                AbsVal::Const(c) => AbsVal::Const(c ^ u32::from(imm)),
-                v if imm == 0 => v,
-                _ => AbsVal::Unknown,
-            };
-            out.set(rt, v);
-        }
+        Ori { rt, rs, imm: 0 } | Xori { rt, rs, imm: 0 } => out.set(rt, s.reg(rs)),
+        Andi { rt, imm, .. } => out.set(rt, AbsVal::range(0, u32::from(imm), 1)),
         Addi { rt, rs, imm } | Addiu { rt, rs, imm } => out.set(rt, s.reg(rs).add_imm(imm)),
         Slti { rt, .. } | Sltiu { rt, .. } => out.set(rt, AbsVal::range(0, 1, 1)),
         Slt { rd, .. } | Sltu { rd, .. } => out.set(rd, AbsVal::range(0, 1, 1)),
@@ -312,7 +300,6 @@ pub fn transfer(s: &RegState, inst: Instruction, config: &VerifyConfig) -> RegSt
         Add { rd, rs, rt } | Addu { rd, rs, rt } => out.set(rd, s.reg(rs).add(s.reg(rt))),
         Sub { rd, rs, rt } | Subu { rd, rs, rt } => {
             let v = match (s.reg(rs), s.reg(rt)) {
-                (AbsVal::Const(a), AbsVal::Const(b)) => AbsVal::Const(a.wrapping_sub(b)),
                 (
                     AbsVal::Ptr {
                         region,
@@ -338,7 +325,6 @@ pub fn transfer(s: &RegState, inst: Instruction, config: &VerifyConfig) -> RegSt
             // `move rd, rs` assembles to `or rd, rs, $zero`.
             let v = match (s.reg(rs), s.reg(rt)) {
                 (v, AbsVal::Const(0)) | (AbsVal::Const(0), v) => v,
-                (AbsVal::Const(a), AbsVal::Const(b)) => AbsVal::Const(a | b),
                 _ => AbsVal::Unknown,
             };
             out.set(rd, v);

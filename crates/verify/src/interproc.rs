@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use efex_mips::asm::Program;
 use efex_mips::decode::decode;
 use efex_mips::isa::Instruction;
+use efex_mips::sem;
 
 use crate::diag::{Finding, Lint};
 
@@ -163,7 +164,7 @@ fn walk_function(images: &Images<'_>, entry: u32) -> FuncInfo {
         };
         match inst {
             Instruction::Jal { target } => {
-                callees.insert(crate::cfg::jump_target(addr, target));
+                callees.insert(sem::jump_target(addr, target));
                 work.push(addr.wrapping_add(8)); // past the delay slot
                 work.push(addr.wrapping_add(4)); // the slot itself
             }
@@ -173,7 +174,7 @@ fn walk_function(images: &Images<'_>, entry: u32) -> FuncInfo {
                 work.push(addr.wrapping_add(4));
             }
             Instruction::J { target } => {
-                work.push(crate::cfg::jump_target(addr, target));
+                work.push(sem::jump_target(addr, target));
                 work.push(addr.wrapping_add(4));
             }
             Instruction::Jr { .. } => {
@@ -185,12 +186,12 @@ fn walk_function(images: &Images<'_>, entry: u32) -> FuncInfo {
             | Instruction::Bgtz { imm, .. }
             | Instruction::Bltz { imm, .. }
             | Instruction::Bgez { imm, .. } => {
-                work.push(crate::cfg::branch_target(addr, imm));
+                work.push(sem::branch_target(addr, imm));
                 work.push(addr.wrapping_add(4));
                 work.push(addr.wrapping_add(8));
             }
             Instruction::Bltzal { imm, .. } | Instruction::Bgezal { imm, .. } => {
-                callees.insert(crate::cfg::branch_target(addr, imm));
+                callees.insert(sem::branch_target(addr, imm));
                 work.push(addr.wrapping_add(4));
                 work.push(addr.wrapping_add(8));
             }

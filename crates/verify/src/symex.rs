@@ -39,9 +39,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use efex_mips::cp0::{cause, status, Cp0Reg};
 use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg};
-use efex_mips::sem;
+use efex_mips::sem::{self, branch_target, jump_target};
 
-use crate::cfg::{branch_target, jump_target};
 use crate::diag::{static_cost, Finding, Lint};
 use crate::interproc::{CallGraph, Images};
 
@@ -246,7 +245,6 @@ fn bits_binop(inst: Instruction, a: SymVal, b: SymVal) -> SymVal {
             ),
             None => SymVal::Top,
         },
-        Lui { imm, .. } => SymVal::known((imm as u32) << 16),
         _ => SymVal::Top,
     }
 }
@@ -1531,40 +1529,12 @@ impl<'a> Engine<'a> {
                 let v = if word { p.reg(rt) } else { SymVal::Top };
                 self.store(p, pc, place, v);
             }
-            Lui { rt, imm } => p.set_reg(rt, SymVal::known((imm as u32) << 16)),
-            // Three-operand / immediate ALU.
-            Sll { rd, rt, .. } | Srl { rd, rt, .. } | Sra { rd, rt, .. } => {
-                let v = eval_alu(inst, SymVal::known(0), p.reg(rt));
-                p.set_reg(rd, v);
+            _ => {
+                if let Some((rd, rs, rt)) = sem::alu_fields(inst) {
+                    let v = eval_alu(inst, p.reg(rs), p.reg(rt));
+                    p.set_reg(rd, v);
+                }
             }
-            Sllv { rd, rt, rs } | Srlv { rd, rt, rs } | Srav { rd, rt, rs } => {
-                let v = eval_alu(inst, p.reg(rs), p.reg(rt));
-                p.set_reg(rd, v);
-            }
-            Add { rd, rs, rt }
-            | Addu { rd, rs, rt }
-            | Sub { rd, rs, rt }
-            | Subu { rd, rs, rt }
-            | And { rd, rs, rt }
-            | Or { rd, rs, rt }
-            | Xor { rd, rs, rt }
-            | Nor { rd, rs, rt }
-            | Slt { rd, rs, rt }
-            | Sltu { rd, rs, rt } => {
-                let v = eval_alu(inst, p.reg(rs), p.reg(rt));
-                p.set_reg(rd, v);
-            }
-            Addi { rt, rs, .. }
-            | Addiu { rt, rs, .. }
-            | Slti { rt, rs, .. }
-            | Sltiu { rt, rs, .. }
-            | Andi { rt, rs, .. }
-            | Ori { rt, rs, .. }
-            | Xori { rt, rs, .. } => {
-                let v = eval_alu(inst, p.reg(rs), SymVal::known(0));
-                p.set_reg(rt, v);
-            }
-            _ => {}
         }
     }
 
