@@ -36,5 +36,7 @@ gate clippy cargo clippy --workspace --all-targets -- -D warnings
 gate doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 gate doctest cargo test --doc --workspace -q
 gate fmt cargo fmt --check
+# Non-test source lines, printed for the record and never gated on.
+scripts/loc.sh || true
 
 echo "ci: all gates passed"

@@ -26,9 +26,9 @@
 //!                                       JSONL for `.jsonl`
 //! fleet ... --migrate                   live-migration drill: checkpoint
 //!                                       every tenant mid-suite, resume it
-//!                                       on a different worker shard; the
-//!                                       aggregate fingerprint must match
-//!                                       the uninterrupted run
+//!                                       from the bytes on a fresh worker
+//!                                       pool; the aggregate fingerprint
+//!                                       must match the uninterrupted run
 //! fleet ... --kill-shard <n>            crash-recovery drill: kill shard
 //!                                       n mid-run, restore its tenants
 //!                                       from their last checkpoints on the
@@ -310,9 +310,9 @@ fn run_health(
     Ok(ok)
 }
 
-/// Live-migration drill: checkpoint every tenant mid-suite on its home
-/// shard, resume it on a different one, and demand the aggregate
-/// fingerprint match an uninterrupted run of the same legged fleet.
+/// Live-migration drill: checkpoint every tenant mid-suite, resume it from
+/// the bytes on a fresh worker pool, and demand the aggregate fingerprint
+/// match an uninterrupted run of the same legged fleet.
 fn migrate_drill(cfg: &FleetConfig) -> Result<bool, efex_fleet::FleetError> {
     let legged = FleetConfig {
         legs: cfg.legs.max(2),

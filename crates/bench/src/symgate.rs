@@ -17,7 +17,7 @@ use efex_simos::compose::{bench_case, kernel_only_case, BenchKind};
 use efex_simos::fastexc::KERNEL_ASM;
 use efex_simos::kernel::TRAMPOLINE_ASM;
 use efex_simos::verify as simverify;
-use efex_verify::diag::json_escape;
+use efex_trace::json;
 use efex_verify::interproc::Images;
 use efex_verify::symex::{explore, SymexReport};
 use efex_verify::{Report, VerifyConfig};
@@ -175,7 +175,7 @@ impl GateResult {
     /// `lint --json` output; parses with [`efex_report::jsonval`]).
     pub fn to_json(&self) -> String {
         let findings_json = |findings: &[efex_verify::Finding]| {
-            let items: Vec<String> = findings.iter().map(|f| f.to_json()).collect();
+            let items: Vec<String> = findings.iter().map(finding_json).collect();
             format!("[{}]", items.join(","))
         };
         let mut out = String::new();
@@ -185,7 +185,7 @@ impl GateResult {
             &self
                 .errors
                 .iter()
-                .map(|e| format!("\"{}\"", json_escape(e)))
+                .map(|e| format!("\"{}\"", json::escape(e)))
                 .collect::<Vec<_>>()
                 .join(","),
         );
@@ -197,7 +197,7 @@ impl GateResult {
                 .map(|i| {
                     format!(
                         "{{\"name\":\"{}\",\"instructions_analyzed\":{},\"findings\":{}}}",
-                        json_escape(i.name),
+                        json::escape(i.name),
                         i.report.instructions_analyzed,
                         findings_json(&i.report.findings)
                     )
@@ -240,6 +240,23 @@ impl GateResult {
         out.push_str("]}}");
         out
     }
+}
+
+/// One finding as a JSON object (one line, no trailing newline).
+fn finding_json(f: &efex_verify::Finding) -> String {
+    let line = match f.line {
+        Some(n) => n.to_string(),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"lint\":\"{}\",\"addr\":{},\"location\":\"{}\",\"line\":{},\"message\":\"{}\",\"context\":\"{}\"}}",
+        f.lint.code(),
+        f.addr,
+        json::escape(&f.location),
+        line,
+        json::escape(&f.message),
+        json::escape(&f.context),
+    )
 }
 
 /// Runs the whole static gate: classic lints over every embedded image,

@@ -3,9 +3,15 @@
 //! Runs N independent guest instances ("tenants"), each executing one of the
 //! five application-crate workloads with a deterministic per-tenant seed,
 //! across a configurable pool of OS worker threads. Results are aggregated
-//! into one fleet report: summed [`StatsSnapshot`]s, a merged per-tenant
-//! latency [`Histogram`], total simulated time, wall-clock scaling numbers,
-//! and (optionally) per-tenant Chrome-trace rows.
+//! into one fleet report: summed [`StatsSnapshot`]s, a per-tenant latency
+//! [`Histogram`], total simulated time, wall-clock scaling numbers, and
+//! (optionally) per-tenant Chrome-trace rows.
+//!
+//! There is one path per job: every tenant runs through [`resume_tenant`]
+//! (an uninterrupted tenant resumes from [`TenantCheckpoint::initial`]), on
+//! one worker pool whose threads claim tenants from a shared index, and
+//! every report — [`run_fleet`] and both checkpoint drills — is assembled
+//! the same way.
 //!
 //! ## Health plane
 //!
@@ -24,13 +30,11 @@
 //!
 //! A tenant's result depends only on its spec (suite + seed) — tenants share
 //! no state, so it never depends on which worker ran it or in what order.
-//! Aggregation is order-independent by construction: [`StatsSnapshot::merge`]
-//! sums counters by name and [`Histogram::merge`] sums bucket counts, both
-//! commutative, and the per-tenant vector is collected into id order before
-//! anything reads it. The fleet aggregate is therefore bit-identical across
-//! thread-pool sizes — [`FleetReport::fingerprint`] captures exactly the
-//! deterministic portion (everything except wall-clock time) so callers can
-//! assert it.
+//! The pool hands results back in id order, and everything downstream
+//! (stats merge, latency records) reads them in that order. The fleet
+//! aggregate is therefore bit-identical across thread-pool sizes —
+//! [`FleetReport::fingerprint`] captures exactly the deterministic portion
+//! (everything except wall-clock time) so callers can assert it.
 
 #![warn(missing_docs)]
 
@@ -261,8 +265,8 @@ pub struct FleetReport {
     pub tenants: Vec<TenantReport>,
     /// All tenant stats merged (counters summed by name).
     pub aggregate: StatsSnapshot,
-    /// Per-tenant simulated run time, recorded in nanoseconds: shard
-    /// histograms merged across workers.
+    /// Per-tenant simulated run time, recorded in nanoseconds, one record
+    /// per tenant.
     pub latency: Histogram,
     /// Total simulated time across tenants, µs.
     pub total_micros: f64,
@@ -273,9 +277,10 @@ pub struct FleetReport {
     /// Measured-vs-static fast-path budget (`None` unless
     /// [`FleetConfig::health`]). Probed once per fleet, not per tenant.
     pub fast_path: Option<FastPathBudget>,
-    /// Tenants that completed after a live migration to a different worker
-    /// shard ([`run_fleet_migrate`]). Drill accounting, like wall-clock
-    /// time: excluded from [`FleetReport::fingerprint`].
+    /// Tenants that completed after a live migration: checkpointed to bytes
+    /// and resumed on a fresh worker pool ([`run_fleet_migrate`]). Drill
+    /// accounting, like wall-clock time: excluded from
+    /// [`FleetReport::fingerprint`].
     pub migrations: u32,
     /// Tenants restored from their last checkpoint after a shard was killed
     /// ([`run_fleet_kill_shard`]). Excluded from the fingerprint.
@@ -547,43 +552,14 @@ pub fn plan(cfg: &FleetConfig) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Runs one tenant to completion on the calling thread.
+/// Runs one tenant to completion on the calling thread: one leg plus the
+/// delivery probe, i.e. [`resume_tenant`] from a fresh one-leg checkpoint.
 ///
 /// # Errors
 ///
 /// Returns [`FleetError`] if the tenant's workload fails.
 pub fn run_tenant(spec: TenantSpec, trace: bool, health: bool) -> Result<TenantReport, FleetError> {
-    let err = |e: &dyn std::fmt::Display| FleetError {
-        tenant: spec.id,
-        suite: spec.suite.as_str(),
-        message: e.to_string(),
-    };
-    // Leg 0 runs under the tenant's own seed, so a single-leg tenant is
-    // exactly the pre-leg behaviour.
-    let run = run_leg(spec, 0)?;
-    let mut health_snap = StatsSnapshot::new("tenant-health");
-    if health {
-        health_snap.merge(&run.health);
-    }
-    let mut events = Vec::new();
-    if trace || health {
-        let probe = delivery_probe(spec.suite).map_err(|e| err(&e))?;
-        if trace {
-            events = probe.events;
-        }
-        if health {
-            health_snap.merge(&probe.health);
-        }
-    }
-    Ok(TenantReport {
-        id: spec.id,
-        suite: spec.suite,
-        seed: spec.seed,
-        micros: run.micros,
-        stats: run.stats,
-        events,
-        health: health_snap,
-    })
+    resume_tenant(&TenantCheckpoint::initial(spec, 1), trace, health)
 }
 
 /// The seed a tenant's `leg`-th workload pass runs under. Leg 0 is the
@@ -596,11 +572,7 @@ pub fn leg_seed(seed: u64, leg: u32) -> u64 {
 
 /// One workload pass (no probe, no health merge) under the leg's seed.
 fn run_leg(spec: TenantSpec, leg: u32) -> Result<efex_core::WorkloadRun, FleetError> {
-    let err = |e: &dyn std::fmt::Display| FleetError {
-        tenant: spec.id,
-        suite: spec.suite.as_str(),
-        message: e.to_string(),
-    };
+    let err = |e: &dyn std::fmt::Display| tenant_error(spec, e);
     let seed = leg_seed(spec.seed, leg);
     with_machine_config(spec.machine, || match spec.suite {
         Suite::Gc => efex_gc::workloads::tenant_workload(seed).map_err(|e| err(&e)),
@@ -611,15 +583,23 @@ fn run_leg(spec: TenantSpec, leg: u32) -> Result<efex_core::WorkloadRun, FleetEr
     })
 }
 
+fn tenant_error(spec: TenantSpec, e: impl std::fmt::Display) -> FleetError {
+    FleetError {
+        tenant: spec.id,
+        suite: spec.suite.as_str(),
+        message: e.to_string(),
+    }
+}
+
 /// A tenant checkpoint: the spec plus everything its completed legs
 /// produced. Serializes to a standalone [`efex_snap::Flavor::Tenant`]
-/// artifact, so a checkpoint taken on one worker shard (or one process)
+/// artifact, so a checkpoint taken on one worker (or one process)
 /// can be resumed on another with [`resume_tenant`] — the unit of live
 /// migration and crash recovery in the fleet drills.
 #[derive(Clone, Debug)]
 pub struct TenantCheckpoint {
     /// The tenant being checkpointed (including its machine config, which
-    /// must travel with it — the resuming shard may default differently).
+    /// must travel with it — the resuming worker may default differently).
     pub spec: TenantSpec,
     /// Total legs the tenant's run consists of.
     pub legs_total: u32,
@@ -776,7 +756,8 @@ pub fn advance_tenant(ckpt: &mut TenantCheckpoint, until_leg: u32) -> Result<(),
 /// plus the end-of-run delivery probe — and builds its report. The
 /// checkpoint may come from this process or off the wire
 /// ([`TenantCheckpoint::from_bytes`]); a resumed tenant reports exactly
-/// what an uninterrupted one would.
+/// what an uninterrupted one would. Every fleet path runs its tenants
+/// through here.
 ///
 /// # Errors
 ///
@@ -790,18 +771,15 @@ pub fn resume_tenant(
     let mut ckpt = ckpt.clone();
     let total = ckpt.legs_total;
     advance_tenant(&mut ckpt, total)?;
-    let err = |e: &dyn std::fmt::Display| FleetError {
-        tenant: ckpt.spec.id,
-        suite: ckpt.spec.suite.as_str(),
-        message: e.to_string(),
+    let spec = ckpt.spec;
+    let mut health_snap = if health {
+        ckpt.health
+    } else {
+        StatsSnapshot::new("tenant-health")
     };
-    let mut health_snap = StatsSnapshot::new("tenant-health");
-    if health {
-        health_snap.merge(&ckpt.health);
-    }
     let mut events = Vec::new();
     if trace || health {
-        let probe = delivery_probe(ckpt.spec.suite).map_err(|e| err(&e))?;
+        let probe = delivery_probe(spec.suite).map_err(|e| tenant_error(spec, e))?;
         if trace {
             events = probe.events;
         }
@@ -810,9 +788,9 @@ pub fn resume_tenant(
         }
     }
     Ok(TenantReport {
-        id: ckpt.spec.id,
-        suite: ckpt.spec.suite,
-        seed: ckpt.spec.seed,
+        id: spec.id,
+        suite: spec.suite,
+        seed: spec.seed,
         micros: ckpt.micros,
         stats: ckpt.stats.unwrap_or_else(|| StatsSnapshot::new("fleet")),
         events,
@@ -820,187 +798,154 @@ pub fn resume_tenant(
     })
 }
 
-/// Runs a tenant as `legs` workload passes (plus the probe). `legs <= 1`
-/// is exactly [`run_tenant`].
-///
-/// # Errors
-///
-/// Returns [`FleetError`] if any leg's workload fails.
-pub fn run_tenant_legged(
-    spec: TenantSpec,
-    legs: u32,
-    trace: bool,
-    health: bool,
-) -> Result<TenantReport, FleetError> {
-    if legs <= 1 {
-        return run_tenant(spec, trace, health);
-    }
-    resume_tenant(&TenantCheckpoint::initial(spec, legs), trace, health)
-}
-
-/// Runs `f(shard, item)` for each item on a scoped worker pool with a
-/// *static* assignment `shard = shard_of(index)` — the drills need to
-/// prove which worker ran what, so no work stealing here. Results come
-/// back in item order.
-fn scatter<T: Send, R: Send>(
-    items: Vec<T>,
-    threads: usize,
-    shard_of: impl Fn(usize) -> usize + Sync,
-    f: impl Fn(usize, T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+/// Runs `f` over `items` on `threads` scoped worker threads that claim
+/// items from a shared atomic index, so load balances even when suites
+/// differ wildly in cost. Results come back in item order whatever the
+/// claiming order.
+fn pool<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let slots = &slots;
-            let items = &items;
-            let shard_of = &shard_of;
-            let f = &f;
+        for w in 0..threads.max(1) {
             std::thread::Builder::new()
                 .name(format!("efex-fleet-{w}"))
                 .stack_size(WORKER_STACK_BYTES)
-                .spawn_scoped(scope, move || {
-                    for (i, cell) in items.iter().enumerate() {
-                        if shard_of(i) % threads != w {
-                            continue;
-                        }
-                        let item = cell.lock().unwrap().take().expect("item claimed once");
-                        let r = f(w, item);
-                        slots.lock().unwrap()[i] = Some(r);
-                    }
+                .spawn_scoped(scope, || loop {
+                    // Relaxed: the index publishes no data; results reach
+                    // the caller through the slot mutexes and the join.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else {
+                        break;
+                    };
+                    let r = f(item);
+                    *slots[i].lock().expect("no worker panics holding a slot") = Some(r);
                 })
                 .expect("spawn fleet worker");
         }
     });
     slots
-        .into_inner()
-        .unwrap()
         .into_iter()
-        .map(|slot| slot.expect("every item ran"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no worker panics holding a slot")
+                .expect("every item ran")
+        })
         .collect()
 }
 
-/// How many legs a drill splits a tenant into, and the leg after which the
-/// checkpoint is taken: drills need at least two legs to have a
-/// "mid-suite" point, so a one-leg config is promoted to two.
-fn drill_legs(cfg: &FleetConfig) -> (u32, u32) {
-    let legs = cfg.legs.max(2);
-    (legs, legs / 2)
-}
-
-/// Aggregates drill-produced tenant reports the same way [`run_fleet`]
-/// does (id order, merged stats, merged latency shards are unnecessary —
-/// one record per tenant in id order is the same histogram).
+/// The one report assembly: probes the fast-path budget (a property of the
+/// kernel image, not of any tenant) once, before any worker starts, runs
+/// the planned tenants through `run`, and aggregates their reports in id
+/// order — one latency record per tenant, stats summed by name.
 fn aggregate_reports(
-    mut tenants: Vec<TenantReport>,
-    threads: usize,
-    fast_path: Option<FastPathBudget>,
-    wall_seconds: f64,
-    migrations: u32,
-    recoveries: u32,
-) -> FleetReport {
-    tenants.sort_by_key(|t| t.id);
+    cfg: &FleetConfig,
+    run: impl FnOnce(&[TenantSpec]) -> Result<Vec<TenantReport>, FleetError>,
+) -> Result<FleetReport, FleetError> {
+    let fast_path = if cfg.health {
+        Some(fast_path_budget().map_err(|message| FleetError {
+            tenant: 0,
+            suite: "health-probe",
+            message,
+        })?)
+    } else {
+        None
+    };
+    let specs = plan(cfg);
+    let start = Instant::now();
+    let tenants = run(&specs)?;
+    let wall_seconds = start.elapsed().as_secs_f64();
     let mut latency = Histogram::new();
     for t in &tenants {
         latency.record((t.micros * 1000.0) as u64); // µs → ns
     }
     let aggregate = StatsSnapshot::aggregate("fleet", tenants.iter().map(|t| t.stats.clone()));
     let total_micros = tenants.iter().map(|t| t.micros).sum();
-    FleetReport {
+    Ok(FleetReport {
         tenants,
         aggregate,
         latency,
         total_micros,
         wall_seconds,
-        threads,
+        threads: cfg.threads.max(1),
         fast_path,
-        migrations,
-        recoveries,
-    }
+        migrations: 0,
+        recoveries: 0,
+    })
 }
 
-fn drill_fast_path(cfg: &FleetConfig) -> Result<Option<FastPathBudget>, FleetError> {
-    if cfg.health {
-        Ok(Some(fast_path_budget().map_err(|message| FleetError {
-            tenant: 0,
-            suite: "health-probe",
-            message,
-        })?))
-    } else {
-        Ok(None)
-    }
+/// Runs the whole fleet across `cfg.threads` workers and aggregates. Each
+/// tenant runs its `cfg.legs` legs uninterrupted.
+///
+/// # Errors
+///
+/// Returns the first (lowest-id) [`FleetError`] if any tenant fails.
+pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
+    aggregate_reports(cfg, |specs| {
+        pool(specs, cfg.threads, |&spec| {
+            resume_tenant(
+                &TenantCheckpoint::initial(spec, cfg.legs),
+                cfg.trace,
+                cfg.health,
+            )
+        })
+        .into_iter()
+        .collect()
+    })
 }
 
-fn first_error<R>(results: Vec<Result<R, FleetError>>) -> Result<Vec<R>, FleetError> {
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
+/// The checkpoint drill behind [`run_fleet_migrate`] and
+/// [`run_fleet_kill_shard`]: every tenant runs the first half of its legs
+/// (at least two legs, so there is a mid-suite point) and is checkpointed
+/// to bytes; then a fresh worker pool resumes every tenant from those
+/// bytes. `drill` names the drill in round-trip errors.
+fn checkpoint_drill(cfg: &FleetConfig, drill: &'static str) -> Result<FleetReport, FleetError> {
+    let legs = cfg.legs.max(2);
+    aggregate_reports(cfg, |specs| {
+        let blobs = pool(specs, cfg.threads, |&spec| {
+            let mut ckpt = TenantCheckpoint::initial(spec, legs);
+            advance_tenant(&mut ckpt, legs / 2)?;
+            Ok(ckpt.to_bytes())
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, FleetError>>()?;
+        pool(&blobs, cfg.threads, |bytes| {
+            let ckpt = TenantCheckpoint::from_bytes(bytes).map_err(|e| FleetError {
+                tenant: u32::MAX,
+                suite: drill,
+                message: format!("checkpoint failed to round-trip: {e}"),
+            })?;
+            resume_tenant(&ckpt, cfg.trace, cfg.health)
+        })
+        .into_iter()
+        .collect()
+    })
 }
 
-/// The live-migration drill: every tenant runs its first legs on its home
-/// shard, is checkpointed **through the wire**
-/// ([`TenantCheckpoint::to_bytes`]), and completes on a *different* worker
-/// shard. The report must fingerprint identically to an uninterrupted
-/// [`run_fleet`] of the same (legged) config — the assertion the `snap` CI
-/// gate makes.
+/// The live-migration drill: every tenant runs its first legs, is
+/// checkpointed **through the wire** ([`TenantCheckpoint::to_bytes`]), and
+/// completes on a fresh worker pool from those bytes alone. Every tenant
+/// counts as migrated. The report must fingerprint identically to an
+/// uninterrupted [`run_fleet`] of the same (legged) config — the assertion
+/// the `snap` CI gate makes.
 ///
 /// # Errors
 ///
 /// Returns [`FleetError`] if any tenant's workload fails or a checkpoint
 /// fails to round-trip.
 pub fn run_fleet_migrate(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
-    let threads = cfg.threads.max(1);
-    let (legs, split) = drill_legs(cfg);
-    let fast_path = drill_fast_path(cfg)?;
-    let start = Instant::now();
-    let specs = plan(cfg);
-    // Phase A: home shard = id % threads, run to the checkpoint, serialize.
-    let blobs = first_error(scatter(
-        specs,
-        threads,
-        |i| i,
-        |_, spec| {
-            let mut ckpt = TenantCheckpoint::initial(spec, legs);
-            advance_tenant(&mut ckpt, split)?;
-            Ok::<Vec<u8>, FleetError>(ckpt.to_bytes())
-        },
-    ))?;
-    // Phase B: fresh worker pool, every tenant one shard over from home.
-    let reports = first_error(scatter(
-        blobs,
-        threads,
-        |i| i + 1,
-        |_, bytes: Vec<u8>| {
-            let ckpt = TenantCheckpoint::from_bytes(&bytes).map_err(|e| FleetError {
-                tenant: u32::MAX,
-                suite: "migrate",
-                message: format!("checkpoint failed to round-trip: {e}"),
-            })?;
-            resume_tenant(&ckpt, cfg.trace, cfg.health)
-        },
-    ))?;
-    let migrations = reports.len() as u32;
-    Ok(aggregate_reports(
-        reports,
-        threads,
-        fast_path,
-        start.elapsed().as_secs_f64(),
-        migrations,
-        0,
-    ))
+    let mut report = checkpoint_drill(cfg, "migrate")?;
+    report.migrations = report.tenants.len() as u32;
+    Ok(report)
 }
 
 /// The crash-recovery drill: every tenant checkpoints after its first
-/// legs; then shard `dead` is killed. Its tenants' in-flight state is
-/// gone — they restart from their last serialized checkpoint on the
-/// surviving shards and are counted as [`FleetReport::recoveries`]
-/// (surfaced to the health plane as the `recovered_tenants` gauge and a
-/// per-tenant `restored_from_checkpoint` health counter). Tenants on
-/// surviving shards complete undisturbed. The fingerprint must equal the
-/// uninterrupted legged run's.
+/// legs; then shard `dead` — the tenants whose id is `dead` modulo the
+/// thread count — is killed. Its tenants' in-flight state is gone: they
+/// restart from their last serialized checkpoint and are counted as
+/// [`FleetReport::recoveries`] (surfaced to the health plane as the
+/// `recovered_tenants` gauge and a per-tenant `restored_from_checkpoint`
+/// health counter). The other tenants complete undisturbed. The
+/// fingerprint must equal the uninterrupted legged run's.
 ///
 /// # Errors
 ///
@@ -1018,67 +963,18 @@ pub fn run_fleet_kill_shard(cfg: &FleetConfig, dead: usize) -> Result<FleetRepor
             ),
         });
     }
-    let (legs, split) = drill_legs(cfg);
-    let fast_path = drill_fast_path(cfg)?;
-    let start = Instant::now();
-    let specs = plan(cfg);
-    // Phase A: everyone runs to the checkpoint on their home shard and
-    // serializes it — the always-on checkpointing the drill relies on.
-    let blobs = first_error(scatter(
-        specs,
-        threads,
-        |i| i,
-        |_, spec| {
-            let mut ckpt = TenantCheckpoint::initial(spec, legs);
-            advance_tenant(&mut ckpt, split)?;
-            Ok::<Vec<u8>, FleetError>(ckpt.to_bytes())
-        },
-    ))?;
-    // The kill: shard `dead` never runs its tail legs. Lost tenants are
-    // rerouted one shard over (never back to the dead shard; threads >= 2
-    // guarantees a survivor); the rest resume on their home shard.
-    let items: Vec<(Vec<u8>, bool)> = blobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| (b, i % threads == dead))
-        .collect();
-    let reroute = move |i: usize| {
-        if i % threads == dead {
-            i + 1
-        } else {
-            i
-        }
-    };
-    let reports = first_error(scatter(
-        items,
-        threads,
-        reroute,
-        |_, (bytes, recovered): (Vec<u8>, bool)| {
-            let ckpt = TenantCheckpoint::from_bytes(&bytes).map_err(|e| FleetError {
-                tenant: u32::MAX,
-                suite: "kill-shard",
-                message: format!("checkpoint failed to round-trip: {e}"),
-            })?;
-            let mut report = resume_tenant(&ckpt, cfg.trace, cfg.health)?;
-            if recovered && cfg.health {
-                report
-                    .health
+    let mut report = checkpoint_drill(cfg, "kill-shard")?;
+    for t in &mut report.tenants {
+        if t.id as usize % threads == dead {
+            report.recoveries += 1;
+            if cfg.health {
+                t.health
                     .counters
                     .push(("restored_from_checkpoint".into(), 1));
             }
-            Ok::<(TenantReport, bool), FleetError>((report, recovered))
-        },
-    ))?;
-    let recoveries = reports.iter().filter(|(_, r)| *r).count() as u32;
-    let tenants = reports.into_iter().map(|(t, _)| t).collect();
-    Ok(aggregate_reports(
-        tenants,
-        threads,
-        fast_path,
-        start.elapsed().as_secs_f64(),
-        0,
-        recoveries,
-    ))
+        }
+    }
+    Ok(report)
 }
 
 /// What the per-tenant delivery probe produced: lifecycle events for the
@@ -1117,95 +1013,6 @@ fn delivery_probe(suite: Suite) -> Result<DeliveryProbe, efex_core::CoreError> {
     Ok(DeliveryProbe {
         events: ring.events(),
         health,
-    })
-}
-
-/// Runs the whole fleet across `cfg.threads` workers and aggregates.
-///
-/// Workers claim tenants from a shared atomic index (work stealing), so load
-/// balances even when suites differ wildly in cost; results land in an
-/// id-indexed table, so aggregation order — and with it every aggregate —
-/// is independent of the claiming order.
-///
-/// # Errors
-///
-/// Returns the first (lowest-id) [`FleetError`] if any tenant fails.
-pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
-    let specs = plan(cfg);
-    let threads = cfg.threads.max(1);
-    // The fast-path budget is a property of the kernel image, not of any
-    // tenant: probe it once, before the workers start.
-    let fast_path = if cfg.health {
-        Some(fast_path_budget().map_err(|message| FleetError {
-            tenant: 0,
-            suite: "health-probe",
-            message,
-        })?)
-    } else {
-        None
-    };
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<TenantReport, FleetError>>>> =
-        Mutex::new((0..specs.len()).map(|_| None).collect());
-    // One latency shard per worker; merged after join. Bucket counts sum,
-    // so the merged histogram is invariant to how tenants were partitioned.
-    let shards: Mutex<Vec<Histogram>> = Mutex::new(Vec::new());
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let worker = || {
-            let mut shard = Histogram::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i).copied() else {
-                    break;
-                };
-                let result = run_tenant_legged(spec, cfg.legs, cfg.trace, cfg.health);
-                if let Ok(r) = &result {
-                    shard.record((r.micros * 1000.0) as u64); // µs → ns
-                }
-                slots.lock().unwrap()[i] = Some(result);
-            }
-            shards.lock().unwrap().push(shard);
-        };
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("efex-fleet-{w}"))
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, worker)
-                    .expect("spawn fleet worker"),
-            );
-        }
-        for h in handles {
-            h.join().expect("fleet worker panicked");
-        }
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
-
-    let mut tenants = Vec::with_capacity(specs.len());
-    for slot in slots.into_inner().unwrap() {
-        tenants.push(slot.expect("every tenant claimed")?);
-    }
-    tenants.sort_by_key(|t| t.id);
-    let mut latency = Histogram::new();
-    for shard in shards.into_inner().unwrap().iter() {
-        latency.merge(shard);
-    }
-
-    let aggregate = StatsSnapshot::aggregate("fleet", tenants.iter().map(|t| t.stats.clone()));
-    let total_micros = tenants.iter().map(|t| t.micros).sum();
-    Ok(FleetReport {
-        tenants,
-        aggregate,
-        latency,
-        total_micros,
-        wall_seconds,
-        threads,
-        fast_path,
-        migrations: 0,
-        recoveries: 0,
     })
 }
 
@@ -1252,6 +1059,7 @@ fn fast_path_budget() -> Result<FastPathBudget, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn plan_is_deterministic_and_round_robin() {
@@ -1268,6 +1076,57 @@ mod tests {
         assert_eq!(a[0].suite, Suite::Gc);
         assert_eq!(a[5].suite, Suite::Gc, "round-robin wraps at 5");
         assert_ne!(a[0].seed, a[5].seed, "same suite, distinct seeds");
+    }
+
+    #[test]
+    fn pool_runs_every_item_once_in_item_order() {
+        for threads in [1, 2, 3, 8] {
+            for n in [0, 1, 5, 17] {
+                let items: Vec<usize> = (0..n).collect();
+                let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+                let out = pool(&items, threads, |&i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    i * 10
+                });
+                let expected: Vec<usize> = items.iter().map(|i| i * 10).collect();
+                assert_eq!(out, expected, "threads={threads} items={n}");
+                for (i, r) in runs.iter().enumerate() {
+                    assert_eq!(r.load(Ordering::Relaxed), 1, "item {i}, threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_failures_report_the_lowest_index_error() {
+        let items: Vec<u32> = (0..17).collect();
+        for threads in [1, 2, 3, 8] {
+            let later_failed = AtomicBool::new(false);
+            let result: Result<Vec<u32>, FleetError> = pool(&items, threads, |&i| {
+                if i == 3 && threads > 1 {
+                    // Hold the lowest failure back until a higher-index item
+                    // has failed; another worker is free to get there.
+                    while !later_failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                if [7, 12].contains(&i) {
+                    later_failed.store(true, Ordering::SeqCst);
+                }
+                if [3, 7, 12].contains(&i) {
+                    Err(FleetError {
+                        tenant: i,
+                        suite: "test",
+                        message: format!("item {i} failed"),
+                    })
+                } else {
+                    Ok(i)
+                }
+            })
+            .into_iter()
+            .collect();
+            assert_eq!(result.unwrap_err().tenant, 3, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1550,6 +1409,38 @@ mod tests {
             .filter_map(|t| t.health.get("restored_from_checkpoint"))
             .sum();
         assert_eq!(recovered_marks, u64::from(drilled.recoveries));
+    }
+
+    #[test]
+    fn drills_keep_every_tenants_health_snapshot() {
+        let cfg = FleetConfig {
+            tenants: 5,
+            threads: 2,
+            legs: 2,
+            ..FleetConfig::default()
+        };
+        let baseline = run_fleet(&cfg).unwrap();
+        let migrated = run_fleet_migrate(&cfg).unwrap();
+        let drilled = run_fleet_kill_shard(&cfg, 1).unwrap();
+        for (i, base) in baseline.tenants.iter().enumerate() {
+            assert!(!base.health.counters.is_empty(), "health was on");
+            assert_eq!(
+                migrated.tenants[i].health, base.health,
+                "migrate, tenant {i}"
+            );
+            // The one difference a recovered tenant may show is the mark
+            // that it was restored from its checkpoint.
+            let mut killed = drilled.tenants[i].health.clone();
+            let mark = killed
+                .counters
+                .iter()
+                .position(|(name, _)| name == "restored_from_checkpoint");
+            assert_eq!(mark.is_some(), i % 2 == 1, "kill-shard, tenant {i}");
+            if let Some(at) = mark {
+                assert_eq!(killed.counters.remove(at).1, 1);
+            }
+            assert_eq!(killed, base.health, "kill-shard, tenant {i}");
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   aggregate scope — evaluated at configurable simulated-cycle intervals
 //!   and at end-of-run by a [`HealthMonitor`], producing structured,
 //!   actionable [`HealthFinding`]s;
-//! - **exposition** in Prometheus text format ([`to_prometheus`]) and JSONL
-//!   ([`to_jsonl`]), both lossless for `u64` counters.
+//! - **exposition** in Prometheus text format ([`to_prometheus`], read back
+//!   by [`prom::parse`]) and JSONL ([`to_jsonl`]), both lossless for `u64`
+//!   counters.
 //!
 //! The health plane is strictly host-side: feeding snapshots and evaluating
 //! invariants charges no simulated cycles, so a monitored run is
@@ -47,7 +48,7 @@ pub mod budget;
 mod invariant;
 mod jsonl;
 mod monitor;
-mod prom;
+pub mod prom;
 mod registry;
 
 pub use budget::{

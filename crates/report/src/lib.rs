@@ -19,8 +19,6 @@
 //!   `flamegraph.pl` / `inferno`, weighted by measured instruction counts.
 //! - [`jsonval`]: the minimal JSON parser backing `--check` and the exporter
 //!   validity tests (the build is offline; no `serde`).
-//! - [`prom`]: a Prometheus text-format scraper, so the `efex-health`
-//!   exposition can be proven lossless by re-parsing it.
 //!
 //! The crate sits low in the graph (depends only on `efex-mips` and
 //! `efex-trace`); suite *running* lives in `efex-bench`, whose `report`
@@ -32,7 +30,6 @@ pub mod check;
 pub mod chrome;
 pub mod flame;
 pub mod jsonval;
-pub mod prom;
 pub mod schema;
 
 pub use check::{compare, CheckReport, Status, DEFAULT_TOLERANCE};
