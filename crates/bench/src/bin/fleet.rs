@@ -137,8 +137,8 @@ fn sweep(cfg: &FleetConfig) -> Result<bool, efex_fleet::FleetError> {
 
 /// Simulated-guest instruction throughput (million instructions per wall
 /// second) of a TLB-mapped 64-instruction loop — the code shape the decode
-/// and superblock caches exist for: hot text refetched far more often than
-/// it changes. The machine builds from `mcfg`, so one helper serves the
+/// cache and the superblock engine exist for: hot text refetched far more
+/// often than it changes. The machine builds from `mcfg`, so one helper serves the
 /// decode-cache and execution-engine A/B exhibits.
 fn guest_throughput(mcfg: MachineConfig, steps: u64) -> f64 {
     use efex_mips::encode::encode;

@@ -3,7 +3,7 @@
 //! bit-exactly — same final register digest, same cycle count, same exit —
 //! as the uninterrupted run, for every Table 2 delivery row, under both
 //! execution engines, and regardless of what the receiver ran before
-//! (live decode/superblock caches must be invalidated by restore).
+//! (a live decode cache must be invalidated by restore).
 
 use efex_core::{DeliveryPath, ExceptionKind, System, SystemSnapshot};
 use efex_mips::machine::{ExecEngine, MachineConfig};
@@ -126,7 +126,7 @@ fn mid_run_snapshot_resumes_bit_exact_every_row_both_engines() {
     }
 }
 
-/// Restore into a receiver whose decode and superblock caches are hot from
+/// Restore into a receiver whose decode cache is hot from
 /// running a *different* program: stale cached translations must not leak
 /// into the resumed run.
 #[test]
@@ -189,6 +189,44 @@ fn snapshots_restore_across_engines() {
     let (_, c_out) = finish(&mut c);
     assert_eq!(c_out, a_out);
     assert_eq!(fingerprint(&c), a_fp, "cross-engine resume diverged");
+}
+
+/// Physical memory that is not a whole number of pages snapshots with its
+/// trailing partial page zero-padded and restores bit-exact, mid-run.
+#[test]
+fn partial_page_memory_round_trips() {
+    let (path, kind) = (DeliveryPath::FastUser, ExceptionKind::Breakpoint);
+    let boot_odd = || {
+        System::builder()
+            .delivery(path)
+            .phys_bytes((16 << 20) + 100)
+            .build()
+            .expect("boot")
+    };
+    let mut a = boot_odd();
+    load(&mut a, path, kind);
+    let tail = 16 << 20;
+    a.kernel_mut()
+        .machine_mut()
+        .mem_mut()
+        .write_u32(tail + 96, 0xfeed_f00d)
+        .unwrap();
+    for _ in 0..100 {
+        assert_eq!(a.kernel_mut().run_user(1).unwrap(), RunOutcome::StepLimit);
+    }
+    let bytes = a.snapshot().to_bytes();
+    let (_, a_out) = finish(&mut a);
+
+    let mut b = boot_odd();
+    b.restore(&SystemSnapshot::from_bytes(&bytes).expect("decode"))
+        .expect("restore");
+    assert_eq!(
+        b.kernel().machine().mem().read_u32(tail + 96),
+        Ok(0xfeed_f00d)
+    );
+    let (_, b_out) = finish(&mut b);
+    assert_eq!(b_out, a_out);
+    assert_eq!(fingerprint(&b), fingerprint(&a));
 }
 
 /// Snapshot at every step through the exception-delivery window — from

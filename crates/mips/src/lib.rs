@@ -72,7 +72,6 @@ pub mod profile;
 pub mod sem;
 pub mod snapshot;
 pub mod tlb;
-pub mod trace;
 
 pub use exception::ExcCode;
 pub use isa::{Instruction, Reg};

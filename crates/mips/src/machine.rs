@@ -187,7 +187,9 @@ const DCACHE_SLOTS: usize = 64;
 /// Instruction words per 4 KB page.
 const DCACHE_WORDS: usize = 1024;
 
-/// One page of decoded instructions.
+/// One page of decoded instructions — the machine's one fetch cache, read
+/// by [`Machine::step`] one line at a time and by the superblock engine
+/// one straight-line block at a time.
 ///
 /// A cached line is only usable while every input that produced it is
 /// provably unchanged:
@@ -213,7 +215,7 @@ struct DecodePage {
     tlb_gen: u64,
     page_paddr: u32,
     mem_version: u32,
-    lines: Box<[Option<(u32, Instruction)>; DCACHE_WORDS]>,
+    lines: Box<[Option<Instruction>; DCACHE_WORDS]>,
 }
 
 impl fmt::Debug for DecodePage {
@@ -229,6 +231,11 @@ impl fmt::Debug for DecodePage {
             .field("lines", &self.lines.iter().flatten().count())
             .finish()
     }
+}
+
+/// The line of a [`DecodePage`] holding the instruction at `pc`.
+fn dcache_line(pc: u32) -> usize {
+    ((pc >> 2) & 0x3ff) as usize
 }
 
 /// Decode-cache slot for a virtual page number. Folds the high vpn bits in
@@ -255,10 +262,12 @@ pub enum ExecEngine {
     #[default]
     Interpreter,
     /// The superblock engine: straight-line runs (up to the next control
-    /// transfer, delay slot included) are pre-decoded once into flat blocks
-    /// with precomputed cycle costs, then replayed by a tight dispatch loop
-    /// that re-enters the generic [`Machine::step`] path only on block
-    /// exit, exception, TLB miss, or self-modified text.
+    /// transfer, delay slot included) execute straight from the decode
+    /// cache's pages with one tag check per block instead of one per
+    /// instruction, re-entering the generic [`Machine::step`] path on block
+    /// exit, exception, uncached or stale page, or self-modified text. With
+    /// the decode cache off every instruction runs through
+    /// [`Machine::step`], exactly like the uncached interpreter.
     Superblock,
 }
 
@@ -355,75 +364,8 @@ pub fn with_machine_config<R>(cfg: MachineConfig, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Longest straight-line run one superblock may hold. Runs end at the first
-/// control transfer anyway, so 64 comfortably covers real basic blocks; the
-/// cap only bounds pathological branch-free pages.
-const SBLOCK_MAX_OPS: usize = 64;
-/// Superblock cache slots (direct-mapped by block start address).
-const SBLOCK_SLOTS: usize = 256;
-
-/// One pre-decoded instruction inside a superblock.
-#[derive(Clone, Copy)]
-struct SbOp {
-    /// The raw instruction word (trace events record it).
-    word: u32,
-    inst: Instruction,
-    /// Static part of the cycle cost (`BASE` + `MEM_ACCESS` for loads and
-    /// stores); `execute` adds dynamic extras (mult/div, TLB ops) on top.
-    base_cost: u64,
-    /// Control transfer — the op after it (if present) is its delay slot,
-    /// and a block never extends past that slot.
-    is_ct: bool,
-    /// Store — after it retires the block re-checks its own text page's
-    /// write version so in-place patches take effect on the next fetch.
-    is_store: bool,
-}
-
-/// A cached straight-line run, validated by the same tag set as
-/// [`DecodePage`] (translation identity + text-page write version) but as a
-/// whole: one check at entry covers every op in the block. A store inside
-/// the block that hits the block's own page aborts it mid-run (and drops
-/// it), so self-modifying code observes patched text on the very next
-/// fetch, exactly like the interpreter.
-#[derive(Clone)]
-struct SuperBlock {
-    start_pc: u32,
-    user: bool,
-    /// Translation went through the TLB (KUSEG/KSEG2) rather than the
-    /// fixed KSEG0/KSEG1 windows.
-    mapped: bool,
-    asid: u8,
-    tlb_gen: u64,
-    page_paddr: u32,
-    mem_version: u32,
-    ops: Vec<SbOp>,
-}
-
-impl fmt::Debug for SuperBlock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SuperBlock")
-            .field("start_pc", &self.start_pc)
-            .field("user", &self.user)
-            .field("mapped", &self.mapped)
-            .field("asid", &self.asid)
-            .field("tlb_gen", &self.tlb_gen)
-            .field("page_paddr", &self.page_paddr)
-            .field("mem_version", &self.mem_version)
-            .field("ops", &self.ops.len())
-            .finish()
-    }
-}
-
-/// Superblock-cache slot for a block start address. Folds high bits in for
-/// the same reason as the decode cache's slot hash: user text and its KSEG0
-/// kernel counterpart must not systematically alias.
-fn sblock_slot(pc: u32) -> usize {
-    let x = pc >> 2;
-    ((x ^ (x >> 8) ^ (x >> 17)) as usize) & (SBLOCK_SLOTS - 1)
-}
-
 /// Whether an instruction must run through the generic [`Machine::step`]
-/// path and therefore ends superblock construction *before* it.
+/// path and therefore ends a superblock *before* it.
 ///
 /// These are the ops that can invalidate a block's entry-time tags mid-run:
 /// CP0 writes (mode/ASID changes), TLB mutations (translation changes),
@@ -436,15 +378,6 @@ fn ends_block(inst: Instruction) -> bool {
         inst,
         Mtc0 { .. } | Tlbr | Tlbwi | Tlbwr | Tlbp | Utlbp { .. } | Rfe | Xpcu
     )
-}
-
-/// Static per-op cycle cost (the dynamic extras stay in `execute`).
-fn sb_base_cost(inst: Instruction) -> u64 {
-    let mut cost = cycles::BASE;
-    if inst.is_memory_access() {
-        cost += cycles::MEM_ACCESS;
-    }
-    cost
 }
 
 /// The simulated machine.
@@ -461,15 +394,12 @@ pub struct Machine {
     /// one sits in its delay slot.
     prev_was_branch: bool,
     profiler: Option<Profiler>,
-    trace: Option<crate::trace::Trace>,
     dcache: [Option<Box<DecodePage>>; DCACHE_SLOTS],
     dcache_enabled: bool,
     dcache_hits: u64,
     dcache_misses: u64,
     dcache_evictions: u64,
     engine: ExecEngine,
-    /// Superblock cache (empty unless the superblock engine is selected).
-    sbcache: Vec<Option<Box<SuperBlock>>>,
     sb_hits: u64,
     sb_misses: u64,
     sb_invalidations: u64,
@@ -505,17 +435,12 @@ impl Machine {
             exceptions_taken: 0,
             prev_was_branch: false,
             profiler: None,
-            trace: None,
             dcache: std::array::from_fn(|_| None),
             dcache_enabled: cfg.decode_cache,
             dcache_hits: 0,
             dcache_misses: 0,
             dcache_evictions: 0,
             engine: cfg.engine,
-            sbcache: match cfg.engine {
-                ExecEngine::Superblock => (0..SBLOCK_SLOTS).map(|_| None).collect(),
-                ExecEngine::Interpreter => Vec::new(),
-            },
             sb_hits: 0,
             sb_misses: 0,
             sb_invalidations: 0,
@@ -595,16 +520,6 @@ impl Machine {
         self.profiler.as_ref()
     }
 
-    /// Attaches an execution trace; returns the previous one.
-    pub fn set_trace(&mut self, t: Option<crate::trace::Trace>) -> Option<crate::trace::Trace> {
-        std::mem::replace(&mut self.trace, t)
-    }
-
-    /// The attached execution trace, if any.
-    pub fn trace(&self) -> Option<&crate::trace::Trace> {
-        self.trace.as_ref()
-    }
-
     /// Mutable access to the attached profiler.
     pub fn profiler_mut(&mut self) -> Option<&mut Profiler> {
         self.profiler.as_mut()
@@ -615,7 +530,14 @@ impl Machine {
         self.dcache_enabled
     }
 
-    /// Decode-cache (hits, misses) over the machine's lifetime. Host-side
+    /// Decode-cache (hits, misses) over the machine's lifetime, counted by
+    /// both engines while the cache is on (both stay 0 with it off). A hit
+    /// is an instruction executed (or attempted, if it faults) from an
+    /// already-decoded line of a page whose tags matched; a miss is an
+    /// instruction word read from memory and decoded into a new line. The
+    /// superblock engine fills the line of a block-ending op (see
+    /// [`ExecEngine::Superblock`]) as a miss and leaves the op to
+    /// [`Machine::step`], which counts it again as a hit. Host-side
     /// observability only — never part of architectural state.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
         (self.dcache_hits, self.dcache_misses)
@@ -635,10 +557,15 @@ impl Machine {
         self.engine
     }
 
-    /// Superblock-cache (hits, misses, invalidations) over the machine's
-    /// lifetime. Hits and misses count block *entries*; invalidations count
-    /// blocks dropped because a store rewrote their own text mid-run.
-    /// Host-side observability only — never part of architectural state.
+    /// Superblock-engine (hits, misses, invalidations) over the machine's
+    /// lifetime; all three stay 0 under the interpreter or with the decode
+    /// cache off. Hits and misses count block *entries*: a hit is an entry
+    /// whose decode-cache page passed the tag check, a miss one whose page
+    /// was absent or stale (one [`Machine::step`] then refetches the
+    /// instruction and re-tags the page). Invalidations count blocks cut
+    /// short because one of their stores bumped the write version of their
+    /// own page. Host-side observability only — never part of
+    /// architectural state.
     pub fn superblock_stats(&self) -> (u64, u64, u64) {
         (self.sb_hits, self.sb_misses, self.sb_invalidations)
     }
@@ -672,22 +599,32 @@ impl Machine {
     /// (empty-slot identity preserved) plus the generation counter, the
     /// pending delay-slot flag, cycle/instret/exception counters, and the
     /// non-zero pages of physical memory (sparse). Host-side observability —
-    /// profiler, trace hooks, decode/superblock caches and their counters —
-    /// is deliberately excluded: it is not architectural state, and the
-    /// caches are rebuilt on demand after a restore.
+    /// profiler, the decode cache and the cache counters — is deliberately
+    /// excluded: it is not architectural state, and the cache is rebuilt on
+    /// demand after a restore. A trailing partial page (physical memory
+    /// that is not a whole number of pages) is captured zero-padded to
+    /// [`crate::snapshot::SNAP_PAGE`].
     pub fn snapshot(&self) -> crate::snapshot::MachineState {
+        use crate::snapshot::SNAP_PAGE;
         let mem_size = self.mem.size();
+        let bytes = self
+            .mem
+            .read_bytes(0, mem_size)
+            .expect("all of physical memory");
         let mut pages = Vec::new();
-        let mut paddr = 0u32;
-        while (paddr as usize) < mem_size {
-            let page = self
-                .mem
-                .read_bytes(paddr, crate::snapshot::SNAP_PAGE)
-                .expect("page within physical memory");
+        let mut chunks = bytes.chunks_exact(SNAP_PAGE);
+        for (idx, page) in (0u32..).zip(&mut chunks) {
             if page.iter().any(|&b| b != 0) {
-                pages.push((paddr >> 12, page.to_vec()));
+                pages.push((idx, page.to_vec()));
             }
-            paddr += crate::snapshot::SNAP_PAGE as u32;
+        }
+        // A trailing partial page goes on the wire zero-padded to a whole
+        // granule, so every snapshot page has the same size.
+        let tail = chunks.remainder();
+        if tail.iter().any(|&b| b != 0) {
+            let mut page = tail.to_vec();
+            page.resize(SNAP_PAGE, 0);
+            pages.push(((mem_size / SNAP_PAGE) as u32, page));
         }
         crate::snapshot::MachineState {
             regs: self.cpu.regs(),
@@ -710,43 +647,51 @@ impl Machine {
     /// Restores architectural state captured by [`Machine::snapshot`].
     ///
     /// The receiver keeps its own host-side configuration (execution
-    /// engine, decode-cache switch, profiler, trace hooks) — a snapshot
-    /// taken under the interpreter restores onto a superblock machine and
-    /// vice versa, and both resume bit-exact. Both instruction caches are
-    /// dropped: their tags reference the *receiver's* pre-restore TLB
-    /// generation and page write-versions, and memory is rewritten below
-    /// them. Memory restore goes through the normal write path, so page
-    /// write-version counters advance and any text cached by observers of
-    /// this memory is invalidated, exactly as a guest store would.
+    /// engine, decode-cache switch, profiler) — a snapshot taken under the
+    /// interpreter restores onto a superblock machine and vice versa, and
+    /// both resume bit-exact. The decode cache is dropped: its tags
+    /// reference the *receiver's* pre-restore TLB generation and page
+    /// write-versions, and memory is rewritten below them. Memory restore
+    /// goes through the normal write path, so page write-version counters
+    /// advance and any text cached by observers of this memory is
+    /// invalidated, exactly as a guest store would.
     ///
     /// # Errors
     ///
     /// [`efex_snap::SnapError::Invalid`] if the snapshot's physical memory
-    /// size differs from the receiver's.
+    /// size differs from the receiver's, a page lies outside it, or a
+    /// trailing partial page has non-zero bytes past its end.
     pub fn restore(
         &mut self,
         s: &crate::snapshot::MachineState,
     ) -> Result<(), efex_snap::SnapError> {
-        if s.mem_size as usize != self.mem.size() {
+        let size = self.mem.size();
+        if s.mem_size as usize != size {
             return Err(efex_snap::SnapError::Invalid(format!(
-                "snapshot has {} bytes of physical memory, machine has {}",
-                s.mem_size,
-                self.mem.size()
+                "snapshot has {} bytes of physical memory, machine has {size}",
+                s.mem_size
             )));
         }
+        // Bytes of each page that lie inside physical memory.
+        let in_range = |page_idx: u32| size.saturating_sub((page_idx as usize) << 12);
         for (page_idx, bytes) in &s.pages {
-            if bytes.len() != crate::snapshot::SNAP_PAGE
-                || (*page_idx as usize) >= self.mem.size() >> 12
-            {
+            let len = in_range(*page_idx);
+            if bytes.len() != crate::snapshot::SNAP_PAGE || len == 0 {
                 return Err(efex_snap::SnapError::Invalid(format!(
                     "snapshot page {page_idx:#x} out of range"
                 )));
             }
+            if bytes.iter().skip(len).any(|&b| b != 0) {
+                return Err(efex_snap::SnapError::Invalid(format!(
+                    "snapshot page {page_idx:#x} has non-zero bytes past the end of physical memory"
+                )));
+            }
         }
-        self.mem.zero(0, self.mem.size()).expect("zero fits");
+        self.mem.zero(0, size).expect("zero fits");
         for (page_idx, bytes) in &s.pages {
+            let len = in_range(*page_idx).min(crate::snapshot::SNAP_PAGE);
             self.mem
-                .write_bytes(page_idx << 12, bytes)
+                .write_bytes(page_idx << 12, &bytes[..len])
                 .expect("page range checked above");
         }
         self.cpu.set_regs(s.regs);
@@ -760,12 +705,8 @@ impl Machine {
         self.cycles = s.cycles;
         self.instret = s.instret;
         self.exceptions_taken = s.exceptions_taken;
-        // Drop both instruction caches: their tags predate the restore.
+        // Drop the decode cache: its tags predate the restore.
         self.dcache = std::array::from_fn(|_| None);
-        if !self.sbcache.is_empty() {
-            let slots = self.sbcache.len();
-            self.sbcache = (0..slots).map(|_| None).collect();
-        }
         Ok(())
     }
 
@@ -878,7 +819,7 @@ impl Machine {
     /// The step budget counts instructions *attempted* (a faulting
     /// instruction consumes its slot) — identically under both engines.
     pub fn run(&mut self, max_steps: u64) -> Result<StopReason, MachineError> {
-        if self.engine == ExecEngine::Superblock {
+        if self.engine == ExecEngine::Superblock && self.dcache_enabled {
             return self.run_superblock(max_steps);
         }
         for _ in 0..max_steps {
@@ -889,202 +830,89 @@ impl Machine {
         Ok(StopReason::StepLimit)
     }
 
-    /// The superblock engine's run loop: execute whole cached blocks from
-    /// the current PC, falling back to one generic [`Machine::step`]
-    /// whenever the leading instruction can't live in a block (pending
-    /// delay slot, misaligned PC, sensitive op, fetch fault).
+    /// The superblock engine's run loop: execute whole blocks from the
+    /// current PC, falling back to one generic [`Machine::step`] whenever
+    /// no op can run as a block (pending delay slot, misaligned PC,
+    /// uncached or stale page, sensitive op, fetch fault).
     fn run_superblock(&mut self, max_steps: u64) -> Result<StopReason, MachineError> {
         let mut remaining = max_steps;
         while remaining > 0 {
-            if self.prev_was_branch || self.cpu.pc & 3 != 0 {
-                // A pending branch means the next op is a delay slot whose
-                // next_pc must not be sequential — blocks assume sequential
-                // entry, so the generic path runs it (this also covers the
-                // branch-in-delay-slot corner exactly as the interpreter).
+            let budget = remaining;
+            // A pending branch means the next op is a delay slot whose
+            // next_pc is not sequential — blocks assume sequential entry,
+            // so the generic path runs it (this also covers the
+            // branch-in-delay-slot corner exactly as the interpreter).
+            if !self.prev_was_branch && self.cpu.pc & 3 == 0 {
+                if let Some(stop) = self.exec_block(&mut remaining) {
+                    return Ok(stop);
+                }
+            }
+            if remaining == budget {
+                // One generic step fetches (and caches) the op, or raises
+                // the exact fault the interpreter would.
                 if let Some(stop) = self.step()? {
                     return Ok(stop);
                 }
                 remaining -= 1;
-                continue;
-            }
-            if let Some(stop) = self.exec_block(&mut remaining)? {
-                return Ok(stop);
             }
         }
         Ok(StopReason::StepLimit)
     }
 
-    /// Probes (building on miss) and dispatches the superblock starting at
-    /// the current PC, charging `remaining` once per instruction attempted.
-    fn exec_block(&mut self, remaining: &mut u64) -> Result<Option<StopReason>, MachineError> {
-        let pc = self.cpu.pc;
+    /// Runs the straight-line block at the current PC from its decode-cache
+    /// page: one tag check at entry covers every op, and missing lines are
+    /// filled through [`Machine::fetch_uncached`]. The block ends after the
+    /// first control transfer (its delay slot rides along when it is a
+    /// plain op on the same page), before any [`ends_block`] op, at the
+    /// page boundary, and after a store that bumped the page's own write
+    /// version, so self-modifying code fetches the patched word next, as
+    /// the interpreter does. Charges `remaining` once per op attempted.
+    fn exec_block(&mut self, remaining: &mut u64) -> Option<StopReason> {
         let user = self.cp0.user_mode();
-        let slot = sblock_slot(pc);
-        let asid = self.asid();
-        let tlb_gen = self.tlb.generation();
-        let valid = self.sbcache[slot].as_deref().is_some_and(|b| {
-            b.start_pc == pc
-                && b.user == user
-                && (!b.mapped || (b.asid == asid && b.tlb_gen == tlb_gen))
-                && b.mem_version == self.mem.page_version(b.page_paddr)
-        });
-        if valid {
-            self.sb_hits += 1;
-        } else {
+        let mut pc = self.cpu.pc;
+        let Some((vpn, page_paddr, mem_version)) = self
+            .dcache_page(pc, user)
+            .map(|p| (p.vpn, p.page_paddr, p.mem_version))
+        else {
             self.sb_misses += 1;
-            if !self.build_block(pc, user) {
-                // No block can start here (sensitive leading op, fetch
-                // fault, undecodable word): one generic step handles it —
-                // including raising the exact fault the interpreter would.
-                let stop = self.step()?;
-                *remaining -= 1;
-                return Ok(stop);
-            }
-        }
-        let block = self.sbcache[slot]
-            .take()
-            .expect("block probed or just built");
-        let result = self.exec_ops(&block, remaining);
-        if self.mem.page_version(block.page_paddr) == block.mem_version {
-            self.sbcache[slot] = Some(block);
-        } else {
-            // A store rewrote the block's own text page: the pre-decoded
-            // ops are stale, so the block is dropped instead of reinstalled
-            // and the next entry refetches the patched words.
-            self.sb_invalidations += 1;
-        }
-        result
-    }
-
-    /// Pre-decodes the straight-line run starting at `pc` into a superblock
-    /// and installs it. The run ends at the first control transfer (its
-    /// delay slot rides along when it is a plain same-page op), before any
-    /// block-ending sensitive op (see [`ends_block`]), at the page
-    /// boundary, or at [`SBLOCK_MAX_OPS`]. Returns `false` when no block
-    /// can start at `pc`.
-    fn build_block(&mut self, pc: u32, user: bool) -> bool {
-        let Ok(paddr) = self.translate(pc, Access::Fetch, user) else {
-            return false;
+            return None;
         };
-        let page_paddr = paddr & !0xfff;
-        let mem_version = self.mem.page_version(page_paddr);
-        let mut ops: Vec<SbOp> = Vec::with_capacity(8);
-        let mut va = pc;
-        let mut pa = paddr;
-        while ops.len() < SBLOCK_MAX_OPS {
-            let Ok(word) = self.mem.read_u32(pa) else {
+        self.sb_hits += 1;
+        let slot = dcache_slot_hash(vpn);
+        let mut in_delay_slot = false;
+        while *remaining > 0 && pc >> 12 == vpn {
+            let cached = self.dcache[slot]
+                .as_deref()
+                .and_then(|p| p.lines[dcache_line(pc)]);
+            let Some(inst) = cached.or_else(|| self.fetch_uncached(pc, user).ok()) else {
                 break;
             };
-            let Ok(inst) = decode(word) else { break };
-            if ends_block(inst) {
-                break;
-            }
             let is_ct = inst.is_control_transfer();
-            ops.push(SbOp {
-                word,
-                inst,
-                base_cost: sb_base_cost(inst),
-                is_ct,
-                is_store: inst.is_store(),
-            });
-            if is_ct {
-                // The delay slot joins the block when it is a plain op on
-                // the same page; otherwise the block ends at the branch and
-                // the generic path picks the slot up (covering cross-page
-                // slots and branch-in-delay-slot identically either way).
-                if va.wrapping_add(4) & 0xfff != 0 {
-                    if let Ok(w) = self.mem.read_u32(pa + 4) {
-                        if let Ok(di) = decode(w) {
-                            if !di.is_control_transfer() && !ends_block(di) {
-                                ops.push(SbOp {
-                                    word: w,
-                                    inst: di,
-                                    base_cost: sb_base_cost(di),
-                                    is_ct: false,
-                                    is_store: di.is_store(),
-                                });
-                            }
-                        }
-                    }
-                }
+            if ends_block(inst) || (in_delay_slot && is_ct) {
                 break;
             }
-            va = va.wrapping_add(4);
-            if va & 0xfff == 0 {
-                break;
+            if cached.is_some() {
+                self.dcache_hits += 1;
             }
-            pa += 4;
-        }
-        if ops.is_empty() {
-            return false;
-        }
-        let mapped = !(0x8000_0000..0xc000_0000).contains(&pc);
-        self.sbcache[sblock_slot(pc)] = Some(Box::new(SuperBlock {
-            start_pc: pc,
-            user,
-            mapped,
-            asid: self.asid(),
-            tlb_gen: self.tlb.generation(),
-            page_paddr,
-            mem_version,
-            ops,
-        }));
-        true
-    }
-
-    /// Dispatches a pre-decoded block. Every op replays exactly what
-    /// [`Machine::step`] would have done — trace record, sequential PC
-    /// advance, cycle/instret accounting, profiler attribution, fault
-    /// delivery — minus the per-instruction fetch, tag probe, and decode.
-    fn exec_ops(
-        &mut self,
-        b: &SuperBlock,
-        remaining: &mut u64,
-    ) -> Result<Option<StopReason>, MachineError> {
-        let user = b.user;
-        for op in &b.ops {
-            if *remaining == 0 {
-                return Ok(None);
-            }
-            let pc = self.cpu.pc;
-            let in_delay = self.prev_was_branch;
-            if let Some(t) = self.trace.as_mut() {
-                t.record(pc, op.word, user);
-            }
-            self.cpu.pc = self.cpu.next_pc;
-            self.cpu.next_pc = self.cpu.next_pc.wrapping_add(4);
-            self.prev_was_branch = op.is_ct;
-            let mut cost = op.base_cost;
-            let outcome = self.execute(op.inst, pc, user, &mut cost);
-            self.cycles += cost;
             *remaining -= 1;
-            match outcome {
-                Exec::Ok => {
-                    self.instret += 1;
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.record(pc, cost);
-                    }
-                }
-                Exec::HostCall(code) => {
-                    self.instret += 1;
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.record(pc, cost);
-                    }
-                    return Ok(Some(StopReason::HostCall(code)));
-                }
-                Exec::Fault(code, bad) => {
-                    self.raise(code, pc, bad, in_delay);
-                    return Ok(None);
-                }
+            match self.retire(pc, inst, user) {
+                Exec::Ok => {}
+                Exec::HostCall(code) => return Some(StopReason::HostCall(code)),
+                Exec::Fault(..) => return None,
             }
-            if op.is_store && self.mem.page_version(b.page_paddr) != b.mem_version {
-                // The store hit this block's own text: the remaining
-                // pre-decoded ops may be stale, so fall back to the generic
-                // path, which refetches the patched words.
-                return Ok(None);
+            if inst.is_store() && self.mem.page_version(page_paddr) != mem_version {
+                // The store hit this block's own text: the page's lines
+                // may be stale, so the next fetch misses and refetches.
+                self.sb_invalidations += 1;
+                return None;
             }
+            if in_delay_slot {
+                return None;
+            }
+            in_delay_slot = is_ct;
+            pc = self.cpu.pc;
         }
-        Ok(None)
+        None
     }
 
     /// Executes one instruction (or takes one exception).
@@ -1093,73 +921,84 @@ impl Machine {
     /// privileged `hcall`.
     pub fn step(&mut self) -> Result<Option<StopReason>, MachineError> {
         let pc = self.cpu.pc;
-        let in_delay = self.prev_was_branch;
         let user = self.cp0.user_mode();
-
-        // Fetch: alignment, translation, then memory.
+        // Fetch: alignment, the decode cache, then translation and memory.
         if pc & 3 != 0 {
-            self.raise(ExcCode::AddrErrLoad, pc, Some(pc), in_delay);
+            self.raise(ExcCode::AddrErrLoad, pc, Some(pc), self.prev_was_branch);
             return Ok(None);
         }
-        // Decode-cache probe: skips translate + memory read + decode when
-        // every tag still matches (see `DecodePage`).
-        let mut cached = None;
-        if self.dcache_enabled {
-            let slot = dcache_slot_hash(pc >> 12);
-            let asid = self.asid();
-            let tlb_gen = self.tlb.generation();
-            if let Some(page) = self.dcache[slot].as_deref() {
-                if page.vpn == pc >> 12
-                    && page.user == user
-                    && (!page.mapped || (page.asid == asid && page.tlb_gen == tlb_gen))
-                    && page.mem_version == self.mem.page_version(page.page_paddr)
-                {
-                    cached = page.lines[((pc >> 2) & 0x3ff) as usize];
-                }
-            }
-        }
-        let inst = match cached {
-            Some((word, inst)) => {
+        let inst = match self
+            .dcache_page(pc, user)
+            .and_then(|p| p.lines[dcache_line(pc)])
+        {
+            Some(inst) => {
                 self.dcache_hits += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(pc, word, user);
-                }
                 inst
             }
-            None => {
-                let paddr = match self.translate(pc, Access::Fetch, user) {
-                    Ok(p) => p,
-                    Err((code, bad)) => {
-                        self.raise(code, pc, Some(bad), in_delay);
-                        return Ok(None);
-                    }
-                };
-                let word = match self.mem.read_u32(paddr) {
-                    Ok(w) => w,
-                    Err(_) => {
-                        self.raise(ExcCode::BusErrFetch, pc, Some(pc), in_delay);
-                        return Ok(None);
-                    }
-                };
-                let inst = match decode(word) {
-                    Ok(i) => i,
-                    Err(_) => {
-                        self.raise(ExcCode::ReservedInstr, pc, None, in_delay);
-                        return Ok(None);
-                    }
-                };
-                if self.dcache_enabled {
-                    self.dcache_misses += 1;
-                    self.dcache_install(pc, user, paddr, word, inst);
+            None => match self.fetch_uncached(pc, user) {
+                Ok(inst) => inst,
+                Err((code, bad)) => {
+                    self.raise(code, pc, bad, self.prev_was_branch);
+                    return Ok(None);
                 }
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(pc, word, user);
-                }
-                inst
-            }
+            },
         };
+        Ok(match self.retire(pc, inst, user) {
+            Exec::HostCall(code) => Some(StopReason::HostCall(code)),
+            Exec::Ok | Exec::Fault(..) => None,
+        })
+    }
 
-        // Advance sequentially; branches below overwrite next_pc.
+    /// The decode-cache page holding `pc`, if the cache is on and every tag
+    /// still matches (see [`DecodePage`]): the one tag check both engines
+    /// validate a page through.
+    #[inline(always)]
+    fn dcache_page(&self, pc: u32, user: bool) -> Option<&DecodePage> {
+        if !self.dcache_enabled {
+            return None;
+        }
+        let page = self.dcache[dcache_slot_hash(pc >> 12)].as_deref()?;
+        let valid = page.vpn == pc >> 12
+            && page.user == user
+            && (!page.mapped
+                || (page.asid == self.asid() && page.tlb_gen == self.tlb.generation()))
+            && page.mem_version == self.mem.page_version(page.page_paddr);
+        valid.then_some(page)
+    }
+
+    /// Fetches the instruction at `pc` from memory — translate, read,
+    /// decode — and, with the cache on, installs it as a decode-cache miss.
+    /// Returns the fault the fetch raises on failure. Forced inline so the
+    /// interpreter's miss path stays inside [`Machine::step`].
+    #[inline(always)]
+    fn fetch_uncached(
+        &mut self,
+        pc: u32,
+        user: bool,
+    ) -> Result<Instruction, (ExcCode, Option<u32>)> {
+        let paddr = self
+            .translate(pc, Access::Fetch, user)
+            .map_err(|(code, bad)| (code, Some(bad)))?;
+        let word = self
+            .mem
+            .read_u32(paddr)
+            .map_err(|_| (ExcCode::BusErrFetch, Some(pc)))?;
+        let inst = decode(word).map_err(|_| (ExcCode::ReservedInstr, None))?;
+        if self.dcache_enabled {
+            self.dcache_misses += 1;
+            self.dcache_install(pc, user, paddr, inst);
+        }
+        Ok(inst)
+    }
+
+    /// Retires one fetched instruction — the sequence both engines share:
+    /// advance the PC, charge the cost, execute, count it and feed the
+    /// profiler, or raise its fault. Forced inline because it is the body
+    /// of both hot loops.
+    #[inline(always)]
+    fn retire(&mut self, pc: u32, inst: Instruction, user: bool) -> Exec {
+        let in_delay = self.prev_was_branch;
+        // Advance sequentially; branches in `execute` overwrite next_pc.
         self.cpu.pc = self.cpu.next_pc;
         self.cpu.next_pc = self.cpu.next_pc.wrapping_add(4);
         self.prev_was_branch = inst.is_control_transfer();
@@ -1168,39 +1007,29 @@ impl Machine {
         if inst.is_memory_access() {
             cost += cycles::MEM_ACCESS;
         }
-
         let outcome = self.execute(inst, pc, user, &mut cost);
-
         self.cycles += cost;
         match outcome {
-            Exec::Ok => {
+            Exec::Ok | Exec::HostCall(_) => {
                 self.instret += 1;
                 if let Some(p) = self.profiler.as_mut() {
                     p.record(pc, cost);
                 }
-                Ok(None)
             }
-            Exec::HostCall(code) => {
-                self.instret += 1;
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(pc, cost);
-                }
-                Ok(Some(StopReason::HostCall(code)))
-            }
+            // The faulting instruction does not retire: raise() redirects
+            // the PC past the sequential advance above.
             Exec::Fault(code, bad) => {
-                // The faulting instruction must not retire: rewind the
-                // sequential advance (raise() sets the PC anyway).
                 self.raise(code, pc, bad, in_delay);
-                Ok(None)
             }
         }
+        outcome
     }
 
     /// Installs a freshly fetched+decoded instruction into the cache. The
     /// slot is re-tagged when any tag moved; decoded lines survive a pure
     /// translation-tag change (same physical text) since decode is a pure
     /// function of the word.
-    fn dcache_install(&mut self, pc: u32, user: bool, paddr: u32, word: u32, inst: Instruction) {
+    fn dcache_install(&mut self, pc: u32, user: bool, paddr: u32, inst: Instruction) {
         let vpn = pc >> 12;
         let slot = dcache_slot_hash(vpn);
         let mapped = !(0x8000_0000..0xc000_0000).contains(&pc);
@@ -1239,7 +1068,7 @@ impl Machine {
         page.tlb_gen = tlb_gen;
         page.page_paddr = page_paddr;
         page.mem_version = mem_version;
-        page.lines[((pc >> 2) & 0x3ff) as usize] = Some((word, inst));
+        page.lines[dcache_line(pc)] = Some(inst);
     }
 
     fn execute(&mut self, inst: Instruction, pc: u32, user: bool, cost: &mut u64) -> Exec {

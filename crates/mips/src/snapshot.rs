@@ -270,6 +270,32 @@ mod tests {
     }
 
     #[test]
+    fn partial_trailing_page_round_trips_zero_padded() {
+        // 5000 bytes: one whole page plus 904 bytes of a second.
+        let mut m = Machine::new(5000);
+        m.mem_mut().write_u32(0x10, 0xdead_beef).unwrap();
+        m.mem_mut().write_u32(4996, 0x1234_5678).unwrap();
+        let state = m.snapshot();
+        assert_eq!(state.pages.len(), 2);
+        assert!(state.pages.iter().all(|(_, p)| p.len() == SNAP_PAGE));
+        assert!(state.pages[1].1[5000 - 4096..].iter().all(|&b| b == 0));
+
+        let back = MachineState::from_bytes(&state.to_bytes()).unwrap();
+        let mut m2 = Machine::new(5000);
+        m2.restore(&back).unwrap();
+        assert_eq!(m2.step_digest(), m.step_digest());
+        assert_eq!(
+            m2.mem().read_bytes(0, 5000).unwrap(),
+            m.mem().read_bytes(0, 5000).unwrap()
+        );
+
+        // Non-zero padding past the end of memory is not a valid image.
+        let mut padded = back;
+        padded.pages[1].1[SNAP_PAGE - 1] = 1;
+        assert!(matches!(m2.restore(&padded), Err(SnapError::Invalid(_))));
+    }
+
+    #[test]
     fn restore_rejects_wrong_memory_size() {
         let m = Machine::new(1 << 16);
         let state = m.snapshot();

@@ -1,13 +1,14 @@
 //! Superblock-engine bit-exactness tests.
 //!
 //! The superblock engine must be architecturally invisible: every test runs
-//! the same program under the interpreter and the superblock engine and
-//! requires bit-identical registers, cycle counts, retired instructions,
-//! and exception behaviour — with particular attention to self-modifying
-//! code, where pre-decoded block contents could go stale: a patch in
-//! straight-line code (including mid-block, by the block's own store), a
-//! patch in a branch delay slot, and a patch of the instruction an
-//! exception handler returns to.
+//! the same program under the superblock engine, the interpreter, and the
+//! superblock engine with the decode cache off (which runs every op through
+//! `Machine::step`, like the uncached reference) and requires bit-identical
+//! registers, cycle counts, retired instructions, and exception behaviour —
+//! with particular attention to self-modifying code, where decoded lines a
+//! block runs from could go stale: a patch in straight-line code (including
+//! mid-block, by the block's own store), a patch in a branch delay slot,
+//! and a patch of the instruction an exception handler returns to.
 
 use efex_mips::encode::encode;
 use efex_mips::isa::{Instruction, Reg};
@@ -16,16 +17,17 @@ use efex_mips::machine::{
 };
 use proptest::prelude::*;
 
-/// A superblock machine and its interpreter reference, built identically.
-fn pair() -> (Machine, Machine) {
-    let sb = Machine::with_config(
-        1 << 20,
-        MachineConfig::default().engine(ExecEngine::Superblock),
-    );
+/// A superblock machine, its interpreter reference, and a superblock
+/// machine with the decode cache off, built identically.
+fn pair() -> (Machine, Machine, Machine) {
+    let sb_cfg = MachineConfig::default().engine(ExecEngine::Superblock);
+    let sb = Machine::with_config(1 << 20, sb_cfg);
     let interp = Machine::with_config(1 << 20, MachineConfig::default());
+    let sb_uncached = Machine::with_config(1 << 20, sb_cfg.decode_cache(false));
     assert_eq!(sb.engine(), ExecEngine::Superblock);
     assert_eq!(interp.engine(), ExecEngine::Interpreter);
-    (sb, interp)
+    assert!(!sb_uncached.decode_cache_enabled());
+    (sb, interp, sb_uncached)
 }
 
 fn assert_same_state(a: &Machine, b: &Machine, what: &str) {
@@ -58,9 +60,16 @@ fn write_words(m: &mut Machine, paddr: u32, words: &[u32]) {
     }
 }
 
-fn both(machines: &mut (Machine, Machine), f: impl Fn(&mut Machine)) {
+fn all(machines: &mut (Machine, Machine, Machine), f: impl Fn(&mut Machine)) {
     f(&mut machines.0);
     f(&mut machines.1);
+    f(&mut machines.2);
+}
+
+/// Both superblock machines against the interpreter reference.
+fn assert_all_same(ms: &(Machine, Machine, Machine), what: &str) {
+    assert_same_state(&ms.0, &ms.1, what);
+    assert_same_state(&ms.2, &ms.1, what);
 }
 
 fn addiu(rt: Reg, rs: Reg, imm: i16) -> u32 {
@@ -87,8 +96,8 @@ fn li32(rt: Reg, value: u32) -> [u32; 2] {
 }
 
 /// A store *inside* a straight-line run patching a *later* instruction of
-/// the same run: the superblock has already pre-decoded the whole block, so
-/// this is the mid-block staleness hazard. The patched word must take
+/// the same run: a block checks its page's tags only on entry, so this is
+/// the mid-block staleness hazard. The patched word must take
 /// effect on the very next fetch — the first execution must already see it.
 #[test]
 fn mid_block_store_patches_downstream_instruction() {
@@ -112,7 +121,7 @@ fn mid_block_store_patches_downstream_instruction() {
         encode(Instruction::Hcall { code: 1 }),
     ];
     let mut ms = pair();
-    both(&mut ms, |m| {
+    all(&mut ms, |m| {
         write_words(m, kseg_to_phys(base).unwrap(), &prog);
         m.set_pc(base);
         assert_eq!(m.run(100).unwrap(), StopReason::HostCall(1));
@@ -122,7 +131,7 @@ fn mid_block_store_patches_downstream_instruction() {
             "the patch must be visible on the very next fetch"
         );
     });
-    assert_same_state(&ms.0, &ms.1, "mid-block self-patch");
+    assert_all_same(&ms, "mid-block self-patch");
     let (_, _, invalidations) = ms.0.superblock_stats();
     assert!(
         invalidations > 0,
@@ -130,8 +139,8 @@ fn mid_block_store_patches_downstream_instruction() {
     );
 }
 
-/// A patch landing in a branch delay slot: the delay slot op is pre-decoded
-/// *into* the branch's block, so a stale block would replay the old slot.
+/// A patch landing in a branch delay slot: the delay slot op runs *inside*
+/// the branch's block, so a stale line would replay the old slot.
 #[test]
 fn patch_in_delay_slot_is_seen_by_next_iteration() {
     let base = 0x8000_1000u32;
@@ -166,7 +175,7 @@ fn patch_in_delay_slot_is_seen_by_next_iteration() {
         encode(Instruction::Hcall { code: 1 }),
     ];
     let mut ms = pair();
-    both(&mut ms, |m| {
+    all(&mut ms, |m| {
         write_words(m, kseg_to_phys(base).unwrap(), &prog);
         m.cpu_mut().set_reg(Reg::T6, 2);
         m.set_pc(base);
@@ -177,12 +186,12 @@ fn patch_in_delay_slot_is_seen_by_next_iteration() {
             "the second iteration must execute the patched delay slot"
         );
     });
-    assert_same_state(&ms.0, &ms.1, "delay-slot patch");
+    assert_all_same(&ms, "delay-slot patch");
 }
 
 /// An exception handler patching the instruction it returns to (the classic
-/// breakpoint-replacement idiom): the faulting block cached the old word,
-/// and the `rfe`-return must fetch the new one.
+/// breakpoint-replacement idiom): the decode cache holds the old word from
+/// before the fault, and the `rfe`-return must fetch the new one.
 #[test]
 fn handler_patches_its_return_target() {
     let base = 0x8000_1000u32;
@@ -219,7 +228,7 @@ fn handler_patches_its_return_target() {
         encode(Instruction::Hcall { code: 1 }),
     ];
     let mut ms = pair();
-    both(&mut ms, |m| {
+    all(&mut ms, |m| {
         write_words(m, kseg_to_phys(GENERAL_VECTOR).unwrap(), &handler);
         write_words(m, kseg_to_phys(base).unwrap(), &prog);
         m.set_pc(base);
@@ -232,11 +241,40 @@ fn handler_patches_its_return_target() {
         );
         assert_eq!(m.exceptions_taken(), 1);
     });
-    assert_same_state(&ms.0, &ms.1, "handler return-target patch");
+    assert_all_same(&ms, "handler return-target patch");
 }
 
-/// The superblock cache must actually engage on a hot loop (otherwise the
-/// bit-exactness tests above prove nothing about the block path).
+/// A CP0 write dropping to user mode must end the block *before* it: the
+/// next fetch, from KSEG0, raises the address error the interpreter raises
+/// instead of running on in kernel mode under the block's entry-time tags.
+#[test]
+fn mode_switch_ends_the_block() {
+    let base = 0x8000_1000u32;
+    let prog = [
+        li(Reg::T0, efex_mips::cp0::status::KUC as i16),
+        encode(Instruction::Mtc0 {
+            rt: Reg::T0,
+            rd: efex_mips::cp0::Cp0Reg::Status as u8,
+        }),
+        li(Reg::T1, 1), // fetched in user mode: address error
+        encode(Instruction::Hcall { code: 1 }),
+    ];
+    let mut ms = pair();
+    all(&mut ms, |m| {
+        write_words(m, kseg_to_phys(base).unwrap(), &prog);
+        m.set_pc(base);
+        assert_eq!(m.run(3).unwrap(), StopReason::StepLimit);
+        assert_eq!(m.cpu().reg(Reg::T1), 0, "user mode must not run KSEG0");
+        assert_eq!(
+            m.cp0().exc_code(),
+            Some(efex_mips::exception::ExcCode::AddrErrLoad)
+        );
+    });
+    assert_all_same(&ms, "mode switch mid-block");
+}
+
+/// The block path must actually engage on a hot loop (otherwise the
+/// bit-exactness tests above prove nothing about it).
 #[test]
 fn hot_loop_hits_the_block_cache() {
     let base = 0x8000_1000u32;
@@ -268,7 +306,8 @@ fn hot_loop_hits_the_block_cache() {
 proptest! {
     /// Arbitrary word soups (valid and reserved encodings, branches into
     /// zeroed memory, stores over their own text, CP0 writes) execute
-    /// bit-identically under both engines — resuming across arbitrary
+    /// bit-identically under both engines, and under the superblock engine
+    /// with the decode cache off — resuming across arbitrary
     /// step-budget boundaries, so blocks get interrupted mid-run and
     /// re-entered.
     #[test]
@@ -277,20 +316,22 @@ proptest! {
         chunks in proptest::collection::vec(1u64..9, 1..64),
     ) {
         let mut ms = pair();
-        both(&mut ms, |m| {
+        all(&mut ms, |m| {
             write_words(m, 0x1000, &words);
             m.set_pc(0x8000_1000);
         });
         for (i, chunk) in chunks.iter().enumerate() {
-            let a = ms.0.run(*chunk).unwrap();
             let b = ms.1.run(*chunk).unwrap();
-            prop_assert_eq!(a, b, "stop reasons diverged at chunk {}", i);
-            prop_assert_eq!(ms.0.cpu().pc, ms.1.cpu().pc);
-            prop_assert_eq!(ms.0.cycles(), ms.1.cycles());
-            prop_assert_eq!(ms.0.instructions_retired(), ms.1.instructions_retired());
-            prop_assert_eq!(ms.0.exceptions_taken(), ms.1.exceptions_taken());
-            prop_assert_eq!(ms.0.cpu().regs(), ms.1.cpu().regs());
+            for sb in [&mut ms.0, &mut ms.2] {
+                let a = sb.run(*chunk).unwrap();
+                prop_assert_eq!(a, b, "stop reasons diverged at chunk {}", i);
+                prop_assert_eq!(sb.cpu().pc, ms.1.cpu().pc);
+                prop_assert_eq!(sb.cycles(), ms.1.cycles());
+                prop_assert_eq!(sb.instructions_retired(), ms.1.instructions_retired());
+                prop_assert_eq!(sb.exceptions_taken(), ms.1.exceptions_taken());
+                prop_assert_eq!(sb.cpu().regs(), ms.1.cpu().regs());
+            }
         }
-        assert_same_state(&ms.0, &ms.1, "word-soup final state");
+        assert_all_same(&ms, "word-soup final state");
     }
 }
