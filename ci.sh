@@ -17,9 +17,11 @@ gate build cargo build --release
 gate test cargo test -q
 gate test-workspace cargo test --workspace -q
 # Both engines, with the decode cache on and off, must stay in lockstep on
-# a fixed budget of generated programs (the vendored proptest uses a fixed
-# seed, so the 2048 cases are the same every run).
-gate engine-lockstep env PROPTEST_CASES=2048 cargo test --release -q -p efex-mips --test superblock --test decode_cache
+# a fixed budget of generated programs, and sparse physical memory must
+# match a dense reference model on as many operation sequences (the
+# vendored proptest uses a fixed seed, so the 2048 cases are the same every
+# run).
+gate engine-lockstep env PROPTEST_CASES=2048 cargo test --release -q -p efex-mips --test superblock --test decode_cache --test sparse_memory
 # hostbench is a package of its own, so `--workspace` never builds it; its
 # tests pin the public entry points the benchmark drives.
 gate hostbench-test cargo test --offline --manifest-path hostbench/Cargo.toml

@@ -184,26 +184,49 @@ fn guest_throughput(mcfg: MachineConfig, steps: u64) -> f64 {
     m.cpu_mut().pc = base;
     m.cpu_mut().next_pc = base.wrapping_add(4);
     let t0 = std::time::Instant::now();
-    let stop = m.run(steps).expect("throughput loop must not fault");
+    let stop = m.run(steps);
     let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(stop, StopReason::StepLimit, "loop must run its full budget");
     steps as f64 / elapsed / 1e6
 }
 
+/// Timed runs per engine in the throughput exhibit. A single wall-clock
+/// run on a shared host varies by more than the engines differ, so the
+/// engines alternate and the exhibit reports medians with their spread.
+const THROUGHPUT_RUNS: usize = 5;
+
 /// The interpreter-vs-superblock guest-Mips exhibit: printed, never gated —
-/// wall time depends on the host. Returns the speedup ratio.
-fn throughput_exhibit() -> f64 {
+/// wall time depends on the host. Each engine runs the loop
+/// [`THROUGHPUT_RUNS`] times, alternating with the other; the ratio is taken
+/// per alternating pair.
+fn throughput_exhibit() {
     let interp_cfg = MachineConfig::default();
     let sb_cfg = MachineConfig::default().engine(ExecEngine::Superblock);
     guest_throughput(interp_cfg, 500_000); // warm
     guest_throughput(sb_cfg, 500_000);
-    let interp = guest_throughput(interp_cfg, 4_000_000);
-    let sb = guest_throughput(sb_cfg, 4_000_000);
+    let (mut interp, mut sb, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..THROUGHPUT_RUNS {
+        let i = guest_throughput(interp_cfg, 4_000_000);
+        let s = guest_throughput(sb_cfg, 4_000_000);
+        interp.push(i);
+        sb.push(s);
+        ratio.push(s / i);
+    }
     println!(
-        "fleet: guest throughput {interp:.1} Mips interpreter vs {sb:.1} Mips superblock ({:.2}x)",
-        sb / interp,
+        "fleet: guest throughput, {THROUGHPUT_RUNS} alternating runs per engine, median [min-max]:"
     );
-    sb / interp
+    let (med, lo, hi) = median_spread(&mut interp);
+    println!("fleet:   interpreter {med:6.1} Mips [{lo:.1}-{hi:.1}]");
+    let (med, lo, hi) = median_spread(&mut sb);
+    println!("fleet:   superblock  {med:6.1} Mips [{lo:.1}-{hi:.1}]");
+    let (med, lo, hi) = median_spread(&mut ratio);
+    println!("fleet:   ratio       {med:6.2}x [{lo:.2}-{hi:.2}]");
+}
+
+/// (median, min, max) of a non-empty sample.
+fn median_spread(v: &mut [f64]) -> (f64, f64, f64) {
+    v.sort_by(f64::total_cmp);
+    (v[v.len() / 2], v[0], v[v.len() - 1])
 }
 
 fn decode_cache_compare(cfg: &FleetConfig) -> Result<bool, efex_fleet::FleetError> {

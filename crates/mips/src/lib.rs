@@ -17,7 +17,7 @@
 //!   plus the paper's proposed user-exception extension registers.
 //! - [`tlb`] — a 64-entry tagged TLB whose entries carry the paper's extra
 //!   *user-modifiable* protection bit (Section 2.2).
-//! - [`mem`] — flat physical memory.
+//! - [`mem`] — sparse physical memory (pages allocated on first write).
 //! - [`machine`] — the interpreter: fetch/decode/execute with branch delay
 //!   slots, precise exceptions, address translation, cycle accounting, and
 //!   an optional hardware user-level exception vectoring mode (the Tera-style
@@ -50,7 +50,7 @@
 //! let mut m = Machine::new(4 * 1024 * 1024);
 //! m.load_image(&prog)?;
 //! m.set_pc(prog.entry());
-//! assert_eq!(m.run(1000)?, StopReason::HostCall(0));
+//! assert_eq!(m.run(1000), StopReason::HostCall(0));
 //! assert_eq!(m.cpu().reg(efex_mips::isa::Reg::T1), 42);
 //! # Ok(())
 //! # }

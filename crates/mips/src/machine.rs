@@ -47,7 +47,8 @@ pub enum StopReason {
     StepLimit,
 }
 
-/// A fatal simulation error (not an architectural exception).
+/// An image that [`Machine::load_image`] cannot place. Execution itself
+/// never fails: every fault is an architectural exception.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MachineError {
     /// An image segment referred to an address outside KSEG0/KSEG1.
@@ -598,34 +599,22 @@ impl Machine {
     /// [`crate::snapshot::MachineState`]: registers, CP0, every TLB slot
     /// (empty-slot identity preserved) plus the generation counter, the
     /// pending delay-slot flag, cycle/instret/exception counters, and the
-    /// non-zero pages of physical memory (sparse). Host-side observability —
-    /// profiler, the decode cache and the cache counters — is deliberately
-    /// excluded: it is not architectural state, and the cache is rebuilt on
-    /// demand after a restore. A trailing partial page (physical memory
-    /// that is not a whole number of pages) is captured zero-padded to
+    /// non-zero pages of physical memory (sparse). Only resident pages are
+    /// visited ([`Memory::resident_pages`]); one that is all zero is left
+    /// out, so the page set depends on the contents alone, not on which
+    /// pages happen to hold storage. Host-side observability — profiler,
+    /// the decode cache and the cache counters — is deliberately excluded:
+    /// it is not architectural state, and the cache is rebuilt on demand
+    /// after a restore. A trailing partial page (physical memory that is
+    /// not a whole number of pages) is captured zero-padded to
     /// [`crate::snapshot::SNAP_PAGE`].
     pub fn snapshot(&self) -> crate::snapshot::MachineState {
-        use crate::snapshot::SNAP_PAGE;
-        let mem_size = self.mem.size();
-        let bytes = self
+        let pages = self
             .mem
-            .read_bytes(0, mem_size)
-            .expect("all of physical memory");
-        let mut pages = Vec::new();
-        let mut chunks = bytes.chunks_exact(SNAP_PAGE);
-        for (idx, page) in (0u32..).zip(&mut chunks) {
-            if page.iter().any(|&b| b != 0) {
-                pages.push((idx, page.to_vec()));
-            }
-        }
-        // A trailing partial page goes on the wire zero-padded to a whole
-        // granule, so every snapshot page has the same size.
-        let tail = chunks.remainder();
-        if tail.iter().any(|&b| b != 0) {
-            let mut page = tail.to_vec();
-            page.resize(SNAP_PAGE, 0);
-            pages.push(((mem_size / SNAP_PAGE) as u32, page));
-        }
+            .resident_pages()
+            .filter(|(_, page)| page.iter().any(|&b| b != 0))
+            .map(|(idx, page)| (idx, page.to_vec()))
+            .collect();
         crate::snapshot::MachineState {
             regs: self.cpu.regs(),
             hi: self.cpu.hi(),
@@ -639,7 +628,7 @@ impl Machine {
             cycles: self.cycles,
             instret: self.instret,
             exceptions_taken: self.exceptions_taken,
-            mem_size: mem_size as u32,
+            mem_size: self.mem.size() as u32,
             pages,
         }
     }
@@ -652,9 +641,10 @@ impl Machine {
     /// both resume bit-exact. The decode cache is dropped: its tags
     /// reference the *receiver's* pre-restore TLB generation and page
     /// write-versions, and memory is rewritten below them. Memory restore
-    /// goes through the normal write path, so page write-version counters
-    /// advance and any text cached by observers of this memory is
-    /// invalidated, exactly as a guest store would.
+    /// releases every page and then writes the snapshot's pages through
+    /// the normal write path, so every page write-version counter advances
+    /// and any text cached by observers of this memory is invalidated,
+    /// exactly as a guest store would.
     ///
     /// # Errors
     ///
@@ -687,6 +677,7 @@ impl Machine {
                 )));
             }
         }
+        // Releases every page and bumps every page version.
         self.mem.zero(0, size).expect("zero fits");
         for (page_idx, bytes) in &s.pages {
             let len = in_range(*page_idx).min(crate::snapshot::SNAP_PAGE);
@@ -818,23 +809,23 @@ impl Machine {
     /// Runs until a host call, or until `max_steps` instructions retire.
     /// The step budget counts instructions *attempted* (a faulting
     /// instruction consumes its slot) — identically under both engines.
-    pub fn run(&mut self, max_steps: u64) -> Result<StopReason, MachineError> {
+    pub fn run(&mut self, max_steps: u64) -> StopReason {
         if self.engine == ExecEngine::Superblock && self.dcache_enabled {
             return self.run_superblock(max_steps);
         }
         for _ in 0..max_steps {
-            if let Some(stop) = self.step()? {
-                return Ok(stop);
+            if let Some(stop) = self.step() {
+                return stop;
             }
         }
-        Ok(StopReason::StepLimit)
+        StopReason::StepLimit
     }
 
     /// The superblock engine's run loop: execute whole blocks from the
     /// current PC, falling back to one generic [`Machine::step`] whenever
     /// no op can run as a block (pending delay slot, misaligned PC,
     /// uncached or stale page, sensitive op, fetch fault).
-    fn run_superblock(&mut self, max_steps: u64) -> Result<StopReason, MachineError> {
+    fn run_superblock(&mut self, max_steps: u64) -> StopReason {
         let mut remaining = max_steps;
         while remaining > 0 {
             let budget = remaining;
@@ -844,19 +835,19 @@ impl Machine {
             // branch-in-delay-slot corner exactly as the interpreter).
             if !self.prev_was_branch && self.cpu.pc & 3 == 0 {
                 if let Some(stop) = self.exec_block(&mut remaining) {
-                    return Ok(stop);
+                    return stop;
                 }
             }
             if remaining == budget {
                 // One generic step fetches (and caches) the op, or raises
                 // the exact fault the interpreter would.
-                if let Some(stop) = self.step()? {
-                    return Ok(stop);
+                if let Some(stop) = self.step() {
+                    return stop;
                 }
                 remaining -= 1;
             }
         }
-        Ok(StopReason::StepLimit)
+        StopReason::StepLimit
     }
 
     /// Runs the straight-line block at the current PC from its decode-cache
@@ -919,13 +910,13 @@ impl Machine {
     ///
     /// Returns `Some(StopReason::HostCall(..))` if the instruction was a
     /// privileged `hcall`.
-    pub fn step(&mut self) -> Result<Option<StopReason>, MachineError> {
+    pub fn step(&mut self) -> Option<StopReason> {
         let pc = self.cpu.pc;
         let user = self.cp0.user_mode();
         // Fetch: alignment, the decode cache, then translation and memory.
         if pc & 3 != 0 {
             self.raise(ExcCode::AddrErrLoad, pc, Some(pc), self.prev_was_branch);
-            return Ok(None);
+            return None;
         }
         let inst = match self
             .dcache_page(pc, user)
@@ -939,14 +930,14 @@ impl Machine {
                 Ok(inst) => inst,
                 Err((code, bad)) => {
                     self.raise(code, pc, bad, self.prev_was_branch);
-                    return Ok(None);
+                    return None;
                 }
             },
         };
-        Ok(match self.retire(pc, inst, user) {
+        match self.retire(pc, inst, user) {
             Exec::HostCall(code) => Some(StopReason::HostCall(code)),
             Exec::Ok | Exec::Fault(..) => None,
-        })
+        }
     }
 
     /// The decode-cache page holding `pc`, if the cache is on and every tag
@@ -1606,7 +1597,7 @@ mod tests {
     }
 
     fn run_to_hcall(m: &mut Machine) -> u32 {
-        match m.run(10_000).unwrap() {
+        match m.run(10_000) {
             StopReason::HostCall(c) => c,
             other => panic!("expected hcall, got {other:?}"),
         }
@@ -1706,7 +1697,7 @@ mod tests {
             }),
         ];
         let mut m = machine_with(&words, 0x8000_1000);
-        m.run(2).unwrap();
+        m.run(2);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::Overflow));
         assert_eq!(m.cpu().pc, GENERAL_VECTOR);
         assert_eq!(m.cpu().reg(Reg::T1), 0, "faulting add must not retire");
@@ -1728,7 +1719,7 @@ mod tests {
             }),
         ];
         let mut m = machine_with(&words, 0x8000_1000);
-        m.run(2).unwrap();
+        m.run(2);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::AddrErrLoad));
         assert_eq!(m.cp0().bad_vaddr, 0x102);
     }
@@ -1748,7 +1739,7 @@ mod tests {
             }),
         ];
         let mut m = machine_with(&words, 0x8000_1000);
-        m.run(2).unwrap();
+        m.run(2);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::AddrErrLoad));
         assert!(m.cp0().cause_bd(), "BD must be set");
         assert_eq!(m.cp0().epc, 0x8000_1000, "EPC must point at the branch");
@@ -1758,7 +1749,7 @@ mod tests {
     fn syscall_vectors_to_kernel() {
         let words = [encode(Instruction::Syscall { code: 0 })];
         let mut m = machine_with(&words, 0x8000_1000);
-        m.run(1).unwrap();
+        m.run(1);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::Syscall));
         assert_eq!(m.cpu().pc, GENERAL_VECTOR);
     }
@@ -1790,7 +1781,7 @@ mod tests {
         }
         m.cp0_mut().status = status::KUC; // user mode
         m.set_pc(0x0040_0000);
-        m.run(1).unwrap();
+        m.run(1);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::TlbLoad));
         assert_eq!(
             m.cpu().pc,
@@ -1852,7 +1843,7 @@ mod tests {
         );
         m.cp0_mut().status = status::KUC;
         m.set_pc(0x0040_1000);
-        m.run(2).unwrap();
+        m.run(2);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::TlbMod));
         assert_eq!(m.cp0().bad_vaddr, 0x0040_0000);
     }
@@ -1924,7 +1915,7 @@ mod tests {
         // Run until the second break vectors (mask still set but UXA cleared
         // by xpcu, so it vectors to user again; we stop after a few steps).
         for _ in 0..8 {
-            m.step().unwrap();
+            m.step();
         }
         assert_eq!(m.cpu().reg(Reg::T3), 1, "handler ran");
         assert_eq!(m.cpu().reg(Reg::T5), 7, "resumed after the break");
@@ -1958,9 +1949,9 @@ mod tests {
         m.cp0_mut().uxm = 1 << ExcCode::Breakpoint.code();
         m.cp0_mut().uxt = 0x0040_0010;
         m.set_pc(0x0040_0000);
-        m.step().unwrap(); // first break: user-vectored
+        m.step(); // first break: user-vectored
         assert!(m.cp0().status & status::UXA != 0);
-        m.step().unwrap(); // second break: recursive -> kernel
+        m.step(); // second break: recursive -> kernel
         assert!(
             !m.cp0().user_mode(),
             "recursive exception must enter kernel"
@@ -2011,7 +2002,7 @@ mod tests {
         }
         m.cp0_mut().status = status::KUC;
         m.set_pc(0x0040_1000);
-        m.run(2).unwrap();
+        m.run(2);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::CopUnusable));
     }
 
@@ -2062,7 +2053,7 @@ mod tests {
         }
         m.cp0_mut().status = status::KUC;
         m.set_pc(0x0040_1000);
-        m.run(3).unwrap();
+        m.run(3);
         // The store after user-level write-protect must fault.
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::TlbMod));
     }
@@ -2087,7 +2078,7 @@ mod tests {
             .unwrap();
         m.cp0_mut().status = status::KUC;
         m.set_pc(0x0040_0000);
-        let r = m.run(1).unwrap();
+        let r = m.run(1);
         assert_eq!(r, StopReason::StepLimit, "hcall must not stop in user mode");
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::CopUnusable));
     }
@@ -2107,7 +2098,7 @@ mod tests {
             }),
         ];
         let mut m = machine_with(&words[..1], 0x8000_1000);
-        m.step().unwrap();
+        m.step();
         assert_eq!(m.cycles(), cycles::BASE);
         let _ = words;
     }

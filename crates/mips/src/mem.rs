@@ -1,8 +1,13 @@
-//! Flat physical memory.
+//! Sparse physical memory.
 //!
 //! Accesses are by physical address; translation happens in
 //! [`crate::machine`]. Out-of-range accesses return [`BusError`], which the
 //! machine turns into a bus-error exception.
+//!
+//! Storage is page-granular and demand-zero: a 4 KB page is allocated by
+//! its first write, a page never written reads as zero, and zero-filling a
+//! whole page releases it. A machine's resident memory therefore follows
+//! the pages it has written, not its physical size.
 
 use std::error::Error;
 use std::fmt;
@@ -22,9 +27,19 @@ impl fmt::Display for BusError {
 
 impl Error for BusError {}
 
-/// Page shift for the per-page write version counters (4 KB, matching
-/// [`crate::tlb::PAGE_SIZE`]).
+/// Page shift (4 KB pages, matching [`crate::tlb::PAGE_SIZE`]).
 const PAGE_SHIFT: u32 = 12;
+
+/// Bytes per page: the granule of allocation and of the write versions.
+pub const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+
+const PAGE_MASK: usize = PAGE_BYTES - 1;
+
+/// One page of storage.
+type Page = [u8; PAGE_BYTES];
+
+/// What every page that holds no storage reads as.
+static ZERO_PAGE: Page = [0; PAGE_BYTES];
 
 /// Byte-addressable physical memory, little-endian like the DECstation's
 /// R3000 configuration.
@@ -33,26 +48,42 @@ const PAGE_SHIFT: u32 = 12;
 /// The decode cache in [`crate::machine::Machine`] tags cached instructions
 /// with the version of the page they were fetched from, so any store to
 /// mapped text — guest stores, host `mem_mut()` writes, image loads —
-/// invalidates the affected cache lines without explicit hooks.
+/// invalidates the affected cache lines without explicit hooks. A `u16` or
+/// `u32` write that straddles two pages (only host writes can) bumps the
+/// first page only.
 #[derive(Clone, Debug)]
 pub struct Memory {
-    bytes: Vec<u8>,
+    size: usize,
+    /// Storage per page; `None` reads as zero.
+    pages: Vec<Option<Box<Page>>>,
     page_versions: Vec<u32>,
 }
 
 impl Memory {
-    /// Allocates `size` bytes of zeroed physical memory.
+    /// Creates `size` bytes of zeroed physical memory. No page is
+    /// allocated until it is written.
     pub fn new(size: usize) -> Memory {
-        let pages = size.div_ceil(1 << PAGE_SHIFT);
+        let pages = size.div_ceil(PAGE_BYTES);
         Memory {
-            bytes: vec![0; size],
+            size,
+            pages: vec![None; pages],
             page_versions: vec![0; pages],
         }
     }
 
     /// Total size in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.size
+    }
+
+    /// The pages that hold storage, as `(paddr >> 12, bytes)` in ascending
+    /// order. A resident page may be all zero (written with zeros, or
+    /// zero-filled in part); a page past the end of memory reads as zero
+    /// beyond it.
+    pub fn resident_pages(&self) -> impl Iterator<Item = (u32, &[u8; PAGE_BYTES])> {
+        (0u32..)
+            .zip(&self.pages)
+            .filter_map(|(idx, page)| Some((idx, page.as_deref()?)))
     }
 
     /// The write-version of the page containing `paddr`. Out-of-range
@@ -82,80 +113,161 @@ impl Memory {
         }
     }
 
-    fn check(&self, paddr: u32, len: u32) -> Result<usize, BusError> {
-        let end = paddr as u64 + len as u64;
-        if end > self.bytes.len() as u64 {
-            return Err(BusError { paddr });
+    fn check(&self, paddr: u32, len: usize) -> Result<usize, BusError> {
+        let i = paddr as usize;
+        match i.checked_add(len) {
+            Some(end) if end <= self.size => Ok(i),
+            _ => Err(BusError { paddr }),
         }
-        Ok(paddr as usize)
+    }
+
+    /// The page holding byte `i` (in range), or the zero page.
+    #[inline(always)]
+    fn page(&self, i: usize) -> &Page {
+        self.pages[i >> PAGE_SHIFT].as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    /// The page holding byte `i` (in range), allocated if absent.
+    fn page_mut(&mut self, i: usize) -> &mut Page {
+        self.pages[i >> PAGE_SHIFT].get_or_insert_with(|| {
+            vec![0; PAGE_BYTES]
+                .into_boxed_slice()
+                .try_into()
+                .expect("one page")
+        })
+    }
+
+    /// Reads `N` bytes at `paddr`: the load hot path when they lie in one
+    /// page.
+    #[inline(always)]
+    fn read_array<const N: usize>(&self, paddr: u32) -> Result<[u8; N], BusError> {
+        let i = self.check(paddr, N)?;
+        let off = i & PAGE_MASK;
+        if off + N > PAGE_BYTES {
+            return Ok(self.read_straddling(i));
+        }
+        Ok(self.page(i)[off..off + N]
+            .try_into()
+            .expect("N bytes in one page"))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn read_straddling<const N: usize>(&self, i: usize) -> [u8; N] {
+        let mut out = [0; N];
+        self.copy_out(i, &mut out);
+        out
+    }
+
+    /// Writes `N` bytes at `paddr`: the store hot path when their page is
+    /// resident and holds them all. Bumps the first page's version only.
+    #[inline(always)]
+    fn write_array<const N: usize>(&mut self, paddr: u32, bytes: [u8; N]) -> Result<(), BusError> {
+        let i = self.check(paddr, N)?;
+        let off = i & PAGE_MASK;
+        match self.pages[i >> PAGE_SHIFT].as_deref_mut() {
+            Some(page) if off + N <= PAGE_BYTES => page[off..off + N].copy_from_slice(&bytes),
+            _ => self.write_allocating(i, &bytes),
+        }
+        self.bump_page(paddr);
+        Ok(())
+    }
+
+    /// The store slow path: the page must be allocated, or the bytes
+    /// straddle two pages.
+    #[cold]
+    #[inline(never)]
+    fn write_allocating(&mut self, i: usize, data: &[u8]) {
+        self.copy_in(i, data);
+    }
+
+    /// Copies in-range memory starting at byte `i` into `out`, page by page.
+    fn copy_out(&self, mut i: usize, mut out: &mut [u8]) {
+        while !out.is_empty() {
+            let off = i & PAGE_MASK;
+            let n = (PAGE_BYTES - off).min(out.len());
+            let (head, rest) = std::mem::take(&mut out).split_at_mut(n);
+            head.copy_from_slice(&self.page(i)[off..off + n]);
+            i += n;
+            out = rest;
+        }
+    }
+
+    /// Copies `data` into in-range memory starting at byte `i`, page by
+    /// page, allocating pages as needed.
+    fn copy_in(&mut self, mut i: usize, mut data: &[u8]) {
+        while !data.is_empty() {
+            let off = i & PAGE_MASK;
+            let n = (PAGE_BYTES - off).min(data.len());
+            let (head, rest) = data.split_at(n);
+            self.page_mut(i)[off..off + n].copy_from_slice(head);
+            i += n;
+            data = rest;
+        }
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, paddr: u32) -> Result<u8, BusError> {
-        let i = self.check(paddr, 1)?;
-        Ok(self.bytes[i])
+        self.read_array(paddr).map(|[b]| b)
     }
 
     /// Reads a halfword. The address must already be aligned (the machine
     /// checks alignment before translation).
     pub fn read_u16(&self, paddr: u32) -> Result<u16, BusError> {
-        let i = self.check(paddr, 2)?;
-        Ok(u16::from_le_bytes([self.bytes[i], self.bytes[i + 1]]))
+        self.read_array(paddr).map(u16::from_le_bytes)
     }
 
     /// Reads a word.
     pub fn read_u32(&self, paddr: u32) -> Result<u32, BusError> {
-        let i = self.check(paddr, 4)?;
-        Ok(u32::from_le_bytes([
-            self.bytes[i],
-            self.bytes[i + 1],
-            self.bytes[i + 2],
-            self.bytes[i + 3],
-        ]))
+        self.read_array(paddr).map(u32::from_le_bytes)
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, paddr: u32, v: u8) -> Result<(), BusError> {
-        let i = self.check(paddr, 1)?;
-        self.bytes[i] = v;
-        self.bump_page(paddr);
-        Ok(())
+        self.write_array(paddr, [v])
     }
 
     /// Writes a halfword.
     pub fn write_u16(&mut self, paddr: u32, v: u16) -> Result<(), BusError> {
-        let i = self.check(paddr, 2)?;
-        self.bytes[i..i + 2].copy_from_slice(&v.to_le_bytes());
-        self.bump_page(paddr);
-        Ok(())
+        self.write_array(paddr, v.to_le_bytes())
     }
 
     /// Writes a word.
     pub fn write_u32(&mut self, paddr: u32, v: u32) -> Result<(), BusError> {
-        let i = self.check(paddr, 4)?;
-        self.bytes[i..i + 4].copy_from_slice(&v.to_le_bytes());
-        self.bump_page(paddr);
-        Ok(())
+        self.write_array(paddr, v.to_le_bytes())
     }
 
     /// Copies a slice into memory.
     pub fn write_bytes(&mut self, paddr: u32, data: &[u8]) -> Result<(), BusError> {
-        let i = self.check(paddr, data.len() as u32)?;
-        self.bytes[i..i + data.len()].copy_from_slice(data);
+        let i = self.check(paddr, data.len())?;
+        self.copy_in(i, data);
         self.bump_range(paddr, data.len());
         Ok(())
     }
 
-    /// Reads `len` bytes.
-    pub fn read_bytes(&self, paddr: u32, len: usize) -> Result<&[u8], BusError> {
-        let i = self.check(paddr, len as u32)?;
-        Ok(&self.bytes[i..i + len])
+    /// Copies `out.len()` bytes starting at `paddr` into `out`.
+    pub fn read_into(&self, paddr: u32, out: &mut [u8]) -> Result<(), BusError> {
+        let i = self.check(paddr, out.len())?;
+        self.copy_out(i, out);
+        Ok(())
     }
 
-    /// Zero-fills a range.
+    /// Zero-fills a range. Pages it covers whole (up to the end of memory
+    /// for a trailing partial page) are released.
     pub fn zero(&mut self, paddr: u32, len: usize) -> Result<(), BusError> {
-        let i = self.check(paddr, len as u32)?;
-        self.bytes[i..i + len].fill(0);
+        let mut i = self.check(paddr, len)?;
+        let end = i + len;
+        while i < end {
+            let off = i & PAGE_MASK;
+            let n = (PAGE_BYTES - off).min(end - i);
+            let page = &mut self.pages[i >> PAGE_SHIFT];
+            if off == 0 && (n == PAGE_BYTES || i + n == self.size) {
+                *page = None;
+            } else if let Some(page) = page.as_deref_mut() {
+                page[off..off + n].fill(0);
+            }
+            i += n;
+        }
         self.bump_range(paddr, len);
         Ok(())
     }
@@ -209,9 +321,12 @@ mod tests {
     #[test]
     fn bulk_copy_and_zero() {
         let mut m = Memory::new(16);
+        let mut out = [0; 4];
         m.write_bytes(4, &[1, 2, 3, 4]).unwrap();
-        assert_eq!(m.read_bytes(4, 4).unwrap(), &[1, 2, 3, 4]);
+        m.read_into(4, &mut out).unwrap();
+        assert_eq!(out, [1, 2, 3, 4]);
         m.zero(5, 2).unwrap();
-        assert_eq!(m.read_bytes(4, 4).unwrap(), &[1, 0, 0, 4]);
+        m.read_into(4, &mut out).unwrap();
+        assert_eq!(out, [1, 0, 0, 4]);
     }
 }

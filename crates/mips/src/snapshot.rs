@@ -17,8 +17,9 @@ use efex_snap::{Flavor, Reader, SnapError, Writer};
 use crate::cp0::Cp0;
 use crate::tlb::{TlbEntry, TLB_ENTRIES};
 
-/// Snapshot memory granule: one 4 KB physical page.
-pub const SNAP_PAGE: usize = 4096;
+/// Snapshot memory granule: one 4 KB physical page, the granule
+/// [`crate::machine::Machine::snapshot`] reads resident pages in.
+pub const SNAP_PAGE: usize = crate::mem::PAGE_BYTES;
 
 /// The complete architectural state of one machine. Plain data — every
 /// field public — so higher layers (the simulated kernel, the fleet) can
@@ -284,10 +285,10 @@ mod tests {
         let mut m2 = Machine::new(5000);
         m2.restore(&back).unwrap();
         assert_eq!(m2.step_digest(), m.step_digest());
-        assert_eq!(
-            m2.mem().read_bytes(0, 5000).unwrap(),
-            m.mem().read_bytes(0, 5000).unwrap()
-        );
+        let (mut got, mut want) = ([0; 5000], [0; 5000]);
+        m2.mem().read_into(0, &mut got).unwrap();
+        m.mem().read_into(0, &mut want).unwrap();
+        assert_eq!(got, want);
 
         // Non-zero padding past the end of memory is not a valid image.
         let mut padded = back;

@@ -142,7 +142,7 @@ fn self_modifying_store_invalidates_cached_text() {
         write_words(m, kseg_to_phys(0x8000_1000).unwrap(), &prog);
         write_words(m, kseg_to_phys(target).unwrap(), &sub);
         m.set_pc(0x8000_1000);
-        assert_eq!(m.run(1000).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(1000), StopReason::HostCall(1));
         assert_eq!(m.cpu().reg(Reg::T6), 7, "first call sees the old text");
         assert_eq!(m.cpu().reg(Reg::T7), 42, "second call sees the new text");
     });
@@ -167,12 +167,12 @@ fn host_write_to_text_invalidates_cached_text() {
     both(&mut ms, |m| {
         write_words(m, 0x1000, &[word(7), encode(Hcall { code: 1 })]);
         m.set_pc(0x8000_1000);
-        assert_eq!(m.run(10).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(10), StopReason::HostCall(1));
         assert_eq!(m.cpu().reg(Reg::T3), 7);
         // Patch the instruction from the host and rerun it.
         m.mem_mut().write_u32(0x1000, word(9)).unwrap();
         m.set_pc(0x8000_1000);
-        assert_eq!(m.run(10).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(10), StopReason::HostCall(1));
         assert_eq!(m.cpu().reg(Reg::T3), 9, "host patch must be fetched");
     });
     assert_same_state(&ms.0, &ms.1, "host text patch");
@@ -205,13 +205,13 @@ fn tlb_eviction_of_cached_page_invalidates() {
         write_words(m, 0x3000, &page_b);
         m.tlb_mut().write(0, map(0x400, 2, false));
         m.set_pc(0x0040_0000);
-        assert_eq!(m.run(10).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(10), StopReason::HostCall(1));
         assert_eq!(m.cpu().reg(Reg::T3), 7);
         // Remap the same virtual page to different text, as a page-out /
         // page-in cycle would.
         m.tlb_mut().write(0, map(0x400, 3, false));
         m.set_pc(0x0040_0000);
-        assert_eq!(m.run(10).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(10), StopReason::HostCall(1));
         assert_eq!(m.cpu().reg(Reg::T3), 42, "remapped text must be fetched");
     });
     assert_same_state(&ms.0, &ms.1, "TLB remap");
@@ -244,7 +244,7 @@ fn subpage_reprotection_faults_next_fetch() {
         m.cp0_mut().status = status::KUC;
         m.set_pc(0x0040_0000);
         // Warm the cache on this page, then re-run the protect sequence.
-        m.run(3).unwrap();
+        m.run(3);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::TlbLoad));
         assert_eq!(
             m.cpu().reg(Reg::T3),
@@ -272,8 +272,8 @@ proptest! {
             m.set_pc(0x8000_1000);
         }
         for i in 0..steps {
-            let a = cached.step().unwrap();
-            let b = reference.step().unwrap();
+            let a = cached.step();
+            let b = reference.step();
             prop_assert_eq!(a, b, "stop reasons diverged at step {}", i);
             prop_assert_eq!(cached.cpu().pc, reference.cpu().pc);
             prop_assert_eq!(cached.cycles(), reference.cycles());

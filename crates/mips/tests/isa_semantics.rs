@@ -14,7 +14,7 @@ fn run(setup: &str, body: &str) -> Machine {
     let mut m = Machine::new(1 << 20);
     m.load_image(&prog).unwrap();
     m.set_pc(prog.entry());
-    match m.run(10_000).unwrap() {
+    match m.run(10_000) {
         StopReason::HostCall(_) => m,
         other => panic!("did not reach hcall: {other:?}"),
     }
@@ -275,7 +275,7 @@ fn overflow_exceptions_for_add_addi_sub() {
         let mut m = Machine::new(1 << 20);
         m.load_image(&prog).unwrap();
         m.set_pc(prog.entry());
-        m.run(10).unwrap();
+        m.run(10);
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::Overflow), "{body}");
         assert_eq!(m.cpu().reg(Reg::T2), 0, "no partial result");
     }

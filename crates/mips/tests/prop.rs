@@ -140,7 +140,7 @@ proptest! {
             .write_u32(paddr + 4 * ops.len() as u32, encode(Instruction::Hcall { code: 1 }))
             .unwrap();
         m.set_pc(base);
-        let stop = m.run(10 + ops.len() as u64).unwrap();
+        let stop = m.run(10 + ops.len() as u64);
         prop_assert_eq!(stop, StopReason::HostCall(1));
         prop_assert_eq!(m.instructions_retired(), ops.len() as u64 + 1);
         prop_assert_eq!(m.cpu().reg(Reg::ZERO), 0);
@@ -155,7 +155,7 @@ proptest! {
         let mut m = Machine::new(1 << 20);
         m.load_image(&prog).unwrap();
         m.set_pc(prog.entry());
-        m.run(10).unwrap();
+        m.run(10);
         prop_assert_eq!(m.cpu().reg(Reg::T0), v as u32);
     }
 }

@@ -124,7 +124,7 @@ fn mid_block_store_patches_downstream_instruction() {
     all(&mut ms, |m| {
         write_words(m, kseg_to_phys(base).unwrap(), &prog);
         m.set_pc(base);
-        assert_eq!(m.run(100).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(100), StopReason::HostCall(1));
         assert_eq!(
             m.cpu().reg(Reg::T3),
             42,
@@ -179,7 +179,7 @@ fn patch_in_delay_slot_is_seen_by_next_iteration() {
         write_words(m, kseg_to_phys(base).unwrap(), &prog);
         m.cpu_mut().set_reg(Reg::T6, 2);
         m.set_pc(base);
-        assert_eq!(m.run(100).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(100), StopReason::HostCall(1));
         assert_eq!(
             m.cpu().reg(Reg::T5),
             40,
@@ -232,7 +232,7 @@ fn handler_patches_its_return_target() {
         write_words(m, kseg_to_phys(GENERAL_VECTOR).unwrap(), &handler);
         write_words(m, kseg_to_phys(base).unwrap(), &prog);
         m.set_pc(base);
-        assert_eq!(m.run(100).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.run(100), StopReason::HostCall(1));
         assert_eq!(m.cpu().reg(Reg::T7), 5, "post-return path executed");
         assert_eq!(
             m.cpu().reg(Reg::T3),
@@ -263,7 +263,7 @@ fn mode_switch_ends_the_block() {
     all(&mut ms, |m| {
         write_words(m, kseg_to_phys(base).unwrap(), &prog);
         m.set_pc(base);
-        assert_eq!(m.run(3).unwrap(), StopReason::StepLimit);
+        assert_eq!(m.run(3), StopReason::StepLimit);
         assert_eq!(m.cpu().reg(Reg::T1), 0, "user mode must not run KSEG0");
         assert_eq!(
             m.cp0().exc_code(),
@@ -296,7 +296,7 @@ fn hot_loop_hits_the_block_cache() {
     write_words(&mut m, kseg_to_phys(base).unwrap(), &prog);
     m.cpu_mut().set_reg(Reg::T2, 100);
     m.set_pc(base);
-    assert_eq!(m.run(10_000).unwrap(), StopReason::HostCall(1));
+    assert_eq!(m.run(10_000), StopReason::HostCall(1));
     assert_eq!(m.cpu().reg(Reg::T0), 100);
     let (hits, misses, _) = m.superblock_stats();
     assert!(hits > 90, "hot loop must re-enter cached blocks: {hits}");
@@ -321,9 +321,9 @@ proptest! {
             m.set_pc(0x8000_1000);
         });
         for (i, chunk) in chunks.iter().enumerate() {
-            let b = ms.1.run(*chunk).unwrap();
+            let b = ms.1.run(*chunk);
             for sb in [&mut ms.0, &mut ms.2] {
-                let a = sb.run(*chunk).unwrap();
+                let a = sb.run(*chunk);
                 prop_assert_eq!(a, b, "stop reasons diverged at chunk {}", i);
                 prop_assert_eq!(sb.cpu().pc, ms.1.cpu().pc);
                 prop_assert_eq!(sb.cycles(), ms.1.cycles());

@@ -11,7 +11,7 @@ fn run(src: &str, steps: u64) -> Machine {
     let mut m = Machine::new(1 << 20);
     m.load_image(&prog).unwrap();
     m.set_pc(prog.entry());
-    match m.run(steps).unwrap() {
+    match m.run(steps) {
         StopReason::HostCall(_) => m,
         other => panic!("no hcall: {other:?}"),
     }

@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use efex_mips::asm::{assemble, AsmError, Program};
 use efex_mips::cp0::status;
@@ -91,9 +92,9 @@ impl Default for KernelConfig {
 /// A fatal kernel error (not a guest-visible condition).
 #[derive(Debug)]
 pub enum KernelError {
-    /// The embedded kernel/runtime assembly failed to assemble.
+    /// A user program failed to assemble ([`Kernel::load_user_program`]).
     Asm(AsmError),
-    /// The machine reported a fatal simulation error.
+    /// An image did not fit the machine ([`Machine::load_image`]).
     Machine(MachineError),
     /// A mapping operation failed.
     Map(MapError),
@@ -253,7 +254,7 @@ pub struct Kernel {
     clock_mhz: f64,
     fixup_unaligned: bool,
     refill_rr: usize,
-    kernel_syms: BTreeMap<String, u32>,
+    kernel_syms: &'static BTreeMap<String, u32>,
     trace: SharedSink,
     trace_path: TracePath,
     metrics: Metrics,
@@ -285,18 +286,34 @@ impl fmt::Debug for Kernel {
     }
 }
 
+/// The guest kernel image and the signal trampoline, assembled from
+/// [`crate::fastexc::KERNEL_ASM`] and [`TRAMPOLINE_ASM`] on first use and
+/// shared by every later boot in the process (both sources are
+/// constants). Debug builds also verify both images statically, once.
+fn boot_images() -> &'static (Program, Program) {
+    static IMAGES: OnceLock<(Program, Program)> = OnceLock::new();
+    IMAGES.get_or_init(|| {
+        let kernel = assemble(crate::fastexc::KERNEL_ASM).expect("the kernel image assembles");
+        let trampoline = assemble(TRAMPOLINE_ASM).expect("the trampoline assembles");
+        #[cfg(debug_assertions)]
+        crate::verify::assert_boot_images_verify(&kernel, &trampoline);
+        (kernel, trampoline)
+    })
+}
+
 impl Kernel {
-    /// Boots the simulated system: builds the machine, assembles and
-    /// installs the guest kernel image (vectors + fast-path handler) and
-    /// the user-space signal trampoline, and creates the initial process.
+    /// Boots the simulated system: builds the machine, installs the guest
+    /// kernel image (vectors + fast-path handler) and the user-space signal
+    /// trampoline, and creates the initial process. Both images are
+    /// assembled once per process.
     ///
     /// # Errors
     ///
-    /// Fails if the embedded images do not assemble or do not fit.
+    /// Fails if the images do not fit the configured physical memory.
     pub fn boot(cfg: KernelConfig) -> Result<Kernel, KernelError> {
+        let (kimage, tramp) = boot_images();
         let mut machine = Machine::with_config(cfg.phys_bytes, cfg.machine);
-        let kimage = assemble(crate::fastexc::KERNEL_ASM)?;
-        machine.load_image(&kimage)?;
+        machine.load_image(kimage)?;
 
         let phys_frames = (cfg.phys_bytes as u32) / PAGE_SIZE;
         let frames = FrameAllocator::new(layout::FIRST_USER_FRAME, phys_frames);
@@ -312,7 +329,7 @@ impl Kernel {
             clock_mhz: cfg.clock_mhz,
             fixup_unaligned: cfg.fixup_unaligned,
             refill_rr: 0,
-            kernel_syms: kimage.symbols().clone(),
+            kernel_syms: kimage.symbols(),
             trace: null_sink(),
             trace_path: TracePath::FastUser,
             metrics: Metrics::new(),
@@ -324,10 +341,7 @@ impl Kernel {
             snapshot_restore_divergence: 0,
         };
         // Map and install the user-side runtime (signal trampoline).
-        let tramp = assemble(TRAMPOLINE_ASM)?;
-        kernel.load_user_segments(&tramp)?;
-        #[cfg(debug_assertions)]
-        crate::verify::assert_boot_images_verify(&kimage, &tramp);
+        kernel.load_user_segments(tramp)?;
         Ok(kernel)
     }
 
@@ -418,8 +432,11 @@ impl Kernel {
     /// One flat health-plane snapshot of this kernel: the per-process
     /// counters plus the machine-level effectiveness numbers (decode-cache
     /// hits/misses/evictions, TLB writes, simulated cycles) the health
-    /// monitor watches. Pure read — charges no simulated cycles, so a run
-    /// with health monitoring on stays bit-identical to one without.
+    /// monitor watches, and `resident_pages`: the 4 KB physical pages that
+    /// hold storage ([`efex_mips::mem::Memory::resident_pages`]), the
+    /// machine's resident memory. Pure read — charges no simulated cycles,
+    /// so a run with health monitoring on stays bit-identical to one
+    /// without.
     pub fn health_snapshot(&self) -> efex_trace::StatsSnapshot {
         use efex_trace::Snapshot as _;
         let (hits, misses) = self.machine.decode_cache_stats();
@@ -442,6 +459,10 @@ impl Kernel {
                 self.snapshot_restore_divergence,
             )
             .counter("cycles", self.machine.cycles())
+            .counter(
+                "resident_pages",
+                self.machine.mem().resident_pages().count() as u64,
+            )
     }
 
     // --- checkpoint / restore --------------------------------------------
@@ -812,12 +833,12 @@ impl Kernel {
                 .space_mut()
                 .ensure_resident(addr, &mut self.frames)?;
             let paddr = (pfn << 12) | (addr & (PAGE_SIZE - 1));
-            let chunk = self
-                .machine
+            let done = out.len();
+            out.resize(done + in_page, 0);
+            self.machine
                 .mem()
-                .read_bytes(paddr, in_page)
+                .read_into(paddr, &mut out[done..])
                 .map_err(|_| KernelError::KernelFault("physical read out of range".into()))?;
-            out.extend_from_slice(chunk);
             addr += in_page as u32;
             rest -= in_page;
         }
@@ -1027,14 +1048,9 @@ impl Kernel {
                 let fresh = pfn << 12;
                 if let Some(src) = stale {
                     if src != fresh {
-                        let copied = self
-                            .machine
-                            .mem()
-                            .read_bytes(src, PAGE_SIZE as usize)
-                            .ok()
-                            .map(<[u8]>::to_vec);
-                        if let Some(bytes) = copied {
-                            let _ = self.machine.mem_mut().write_bytes(fresh, &bytes);
+                        let mut page = [0; PAGE_SIZE as usize];
+                        if self.machine.mem().read_into(src, &mut page).is_ok() {
+                            let _ = self.machine.mem_mut().write_bytes(fresh, &page);
                         }
                     }
                 }
@@ -1121,7 +1137,7 @@ impl Kernel {
             if executed >= max_steps {
                 return Ok(RunOutcome::StepLimit);
             }
-            match self.machine.run(max_steps - executed)? {
+            match self.machine.run(max_steps - executed) {
                 StopReason::StepLimit => return Ok(RunOutcome::StepLimit),
                 StopReason::HostCall(n) => {
                     let outcome = match n {
